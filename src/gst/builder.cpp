@@ -26,19 +26,10 @@ std::uint64_t num_buckets(std::uint32_t w) {
 void collect_suffixes(const bio::EstSet& ests, bio::StringId sid_begin,
                       bio::StringId sid_end, std::uint32_t w,
                       std::vector<BucketedSuffix>& out) {
-  for (bio::StringId sid = sid_begin; sid < sid_end; ++sid) {
-    auto s = ests.str(sid);
-    if (s.size() < w) continue;
-    // Rolling update of the base-4 window value.
-    const std::uint64_t mask = num_buckets(w) - 1;
-    std::uint64_t id = bucket_of(s, 0, w);
-    for (std::size_t pos = 0;; ++pos) {
-      out.push_back({id, {sid, static_cast<std::uint32_t>(pos)}});
-      if (pos + w >= s.size()) break;
-      id = ((id << 2) & mask) |
-           static_cast<std::uint64_t>(bio::encode_base(s[pos + w]));
-    }
-  }
+  for_each_bucketed_suffix(ests, sid_begin, sid_end, w,
+                           [&](std::uint64_t bucket, const SuffixOcc& occ) {
+                             out.push_back({bucket, occ});
+                           });
 }
 
 namespace {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "bio/alphabet.hpp"
 #include "bio/dataset.hpp"
 #include "gst/tree.hpp"
 
@@ -38,9 +39,29 @@ std::uint64_t bucket_of(std::string_view s, std::size_t pos, std::uint32_t w);
 /// memory: w <= 11.
 std::uint64_t num_buckets(std::uint32_t w);
 
-/// Enumerates all suffixes of strings [sid_begin, sid_end) that are at
-/// least w long, tagged with their bucket. Shorter suffixes are dropped:
+/// Calls fn(bucket, occ) for every suffix of strings [sid_begin, sid_end)
+/// that is at least w long, in (sid, pos) order, updating the base-4
+/// window value by one character per suffix. Shorter suffixes are skipped:
 /// they cannot begin a maximal common substring of length >= psi >= w.
+template <typename Fn>
+void for_each_bucketed_suffix(const bio::EstSet& ests,
+                              bio::StringId sid_begin, bio::StringId sid_end,
+                              std::uint32_t w, Fn&& fn) {
+  const std::uint64_t mask = num_buckets(w) - 1;
+  for (bio::StringId sid = sid_begin; sid < sid_end; ++sid) {
+    const auto s = ests.str(sid);
+    if (s.size() < w) continue;
+    std::uint64_t id = bucket_of(s, 0, w);
+    for (std::size_t pos = 0;; ++pos) {
+      fn(id, SuffixOcc{sid, static_cast<std::uint32_t>(pos)});
+      if (pos + w >= s.size()) break;
+      id = ((id << 2) & mask) |
+           static_cast<std::uint64_t>(bio::encode_base(s[pos + w]));
+    }
+  }
+}
+
+/// Materializes for_each_bucketed_suffix into `out`.
 void collect_suffixes(const bio::EstSet& ests, bio::StringId sid_begin,
                       bio::StringId sid_end, std::uint32_t w,
                       std::vector<BucketedSuffix>& out);

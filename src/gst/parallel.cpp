@@ -9,6 +9,85 @@
 
 namespace estclust::gst {
 
+namespace {
+
+/// Deterministic O(n log n) comparison-sort cost model for clock charging.
+std::uint64_t sort_units(std::uint64_t n) {
+  return n * (1 + static_cast<std::uint64_t>(
+                      std::log2(static_cast<double>(n + 1))));
+}
+
+/// §3.1 step 4 from the global bucket histogram: the greedy assignment of
+/// the non-empty buckets to ranks [first_owner_rank, p), computed
+/// identically on every rank. Returns the dense bucket id -> owner rank
+/// map (-1 for empty buckets); `nonempty` (optional) receives the number
+/// of buckets assigned.
+std::vector<int> assign_owners(const std::vector<std::uint64_t>& hist, int p,
+                               int first_owner_rank,
+                               std::uint64_t* nonempty = nullptr) {
+  std::vector<std::uint64_t> ids;
+  std::vector<std::uint64_t> sizes;
+  for (std::uint64_t b = 0; b < hist.size(); ++b) {
+    if (hist[b] > 0) {
+      ids.push_back(b);
+      sizes.push_back(hist[b]);
+    }
+  }
+  const std::vector<int> owner_of =
+      assign_buckets(ids, sizes, p - first_owner_rank);
+  std::vector<int> owner(hist.size(), -1);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    owner[ids[i]] = owner_of[i] + first_owner_rank;
+  }
+  if (nonempty) *nonempty = ids.size();
+  return owner;
+}
+
+/// The global histogram of every suffix's bucket, counted in one rolling
+/// pass over all strings without materializing the suffixes.
+std::vector<std::uint64_t> global_histogram(const bio::EstSet& ests,
+                                            std::uint32_t w) {
+  std::vector<std::uint64_t> hist(num_buckets(w), 0);
+  for_each_bucketed_suffix(
+      ests, 0, static_cast<bio::StringId>(ests.num_strings()), w,
+      [&](std::uint64_t bucket, const SuffixOcc&) { ++hist[bucket]; });
+  return hist;
+}
+
+/// The canonical post-exchange order: (bucket, sid, pos) is a total order
+/// over unique keys, so the source-rank interleaving of the all-to-all is
+/// irrelevant.
+void sort_canonical(std::vector<BucketedSuffix>& owned) {
+  std::sort(owned.begin(), owned.end(),
+            [](const BucketedSuffix& a, const BucketedSuffix& b) {
+              if (a.bucket != b.bucket) return a.bucket < b.bucket;
+              if (a.occ.sid != b.occ.sid) return a.occ.sid < b.occ.sid;
+              return a.occ.pos < b.occ.pos;
+            });
+}
+
+/// §3.1 step 5: refines canonically sorted owned suffixes into one subtree
+/// per bucket, ordered by bucket id.
+std::vector<Tree> refine_owned(const bio::EstSet& ests,
+                               const std::vector<BucketedSuffix>& owned,
+                               std::uint32_t w, BuildCounters& counters) {
+  std::vector<Tree> forest;
+  std::size_t i = 0;
+  while (i < owned.size()) {
+    std::size_t j = i;
+    while (j < owned.size() && owned[j].bucket == owned[i].bucket) ++j;
+    std::vector<SuffixOcc> bucket;
+    bucket.reserve(j - i);
+    for (std::size_t k = i; k < j; ++k) bucket.push_back(owned[k].occ);
+    forest.push_back(build_bucket_tree(ests, std::move(bucket), w,
+                                       owned[i].bucket, counters));
+    i = j;
+  }
+  return forest;
+}
+
+}  // namespace
+
 std::vector<Tree> build_forest_parallel(mpr::Communicator& comm,
                                         const bio::EstSet& ests,
                                         const GstConfig& cfg,
@@ -16,7 +95,6 @@ std::vector<Tree> build_forest_parallel(mpr::Communicator& comm,
                                         int first_owner_rank) {
   const int p = comm.size();
   ESTCLUST_CHECK(first_owner_rank >= 0 && first_owner_rank < p);
-  const int owners = p - first_owner_rank;
   const int rank = comm.rank();
   const auto& cm = comm.cost_model();
   obs::RankTracer* tracer = comm.tracer();
@@ -47,29 +125,12 @@ std::vector<Tree> build_forest_parallel(mpr::Communicator& comm,
 
   // Phase 3: deterministic greedy bucket -> rank assignment, computed
   // identically on every rank from the shared histogram.
-  std::vector<std::uint64_t> nonempty_ids;
-  std::vector<std::uint64_t> nonempty_sizes;
+  std::uint64_t nonempty = 0;
+  const std::vector<int> owner =
+      assign_owners(hist, p, first_owner_rank, &nonempty);
+  comm.charge(cm.sort_op, sort_units(nonempty));
   std::uint64_t global_suffixes = 0;
-  for (std::uint64_t b = 0; b < nbuckets; ++b) {
-    if (hist[b] > 0) {
-      nonempty_ids.push_back(b);
-      nonempty_sizes.push_back(hist[b]);
-      global_suffixes += hist[b];
-    }
-  }
-  std::vector<int> owner_of =
-      assign_buckets(nonempty_ids, nonempty_sizes, owners);
-  for (int& r : owner_of) r += first_owner_rank;
-  comm.charge(cm.sort_op,
-              nonempty_ids.size() *
-                  (1 + static_cast<std::uint64_t>(
-                           std::log2(static_cast<double>(
-                               nonempty_ids.size() + 1)))));
-  // Dense lookup: bucket id -> owner rank.
-  std::vector<int> owner(nbuckets, -1);
-  for (std::size_t i = 0; i < nonempty_ids.size(); ++i) {
-    owner[nonempty_ids[i]] = owner_of[i];
-  }
+  for (std::uint64_t n : hist) global_suffixes += n;
 
   // Phase 4: route suffixes to their bucket owners.
   std::vector<mpr::BufWriter> packs(p);
@@ -96,15 +157,8 @@ std::vector<Tree> build_forest_parallel(mpr::Communicator& comm,
     }
   }
   recvbufs.clear();
-  std::sort(owned.begin(), owned.end(),
-            [](const BucketedSuffix& a, const BucketedSuffix& b) {
-              if (a.bucket != b.bucket) return a.bucket < b.bucket;
-              if (a.occ.sid != b.occ.sid) return a.occ.sid < b.occ.sid;
-              return a.occ.pos < b.occ.pos;
-            });
-  comm.charge(cm.sort_op,
-              owned.size() * (1 + static_cast<std::uint64_t>(std::log2(
-                                      static_cast<double>(owned.size() + 1)))));
+  sort_canonical(owned);
+  comm.charge(cm.sort_op, sort_units(owned.size()));
   const double t1 = comm.clock().time();
   if (tracer) {
     tracer->end("partitioning");
@@ -113,18 +167,7 @@ std::vector<Tree> build_forest_parallel(mpr::Communicator& comm,
 
   // Phase 5: refine owned buckets into subtrees.
   BuildCounters counters;
-  std::vector<Tree> forest;
-  std::size_t i = 0;
-  while (i < owned.size()) {
-    std::size_t j = i;
-    while (j < owned.size() && owned[j].bucket == owned[i].bucket) ++j;
-    std::vector<SuffixOcc> bucket;
-    bucket.reserve(j - i);
-    for (std::size_t k = i; k < j; ++k) bucket.push_back(owned[k].occ);
-    forest.push_back(build_bucket_tree(ests, std::move(bucket), cfg.window,
-                                       owned[i].bucket, counters));
-    i = j;
-  }
+  std::vector<Tree> forest = refine_owned(ests, owned, cfg.window, counters);
   comm.charge(cm.char_op, counters.chars_scanned);
   const double t2 = comm.clock().time();
   if (tracer) tracer->end("gst_build");
@@ -153,65 +196,21 @@ std::vector<Tree> rebuild_rank_forest(const bio::EstSet& ests,
                                       BuildCounters* counters) {
   ESTCLUST_CHECK(first_owner_rank >= 0 && first_owner_rank < p);
   ESTCLUST_CHECK(target_rank >= first_owner_rank && target_rank < p);
-  const int owners = p - first_owner_rank;
+  const std::vector<int> owner = assign_owners(
+      global_histogram(ests, cfg.window), p, first_owner_rank);
 
-  // All suffixes of all ESTs: the union of the per-rank collections, which
-  // block-partition the EST ids.
-  std::vector<BucketedSuffix> all;
-  collect_suffixes(ests, bio::EstSet::forward_sid(0),
-                   bio::EstSet::forward_sid(ests.num_ests()), cfg.window,
-                   all);
-
-  const std::uint64_t nbuckets = num_buckets(cfg.window);
-  std::vector<std::uint64_t> hist(nbuckets, 0);
-  for (const auto& bs : all) ++hist[bs.bucket];
-
-  std::vector<std::uint64_t> nonempty_ids;
-  std::vector<std::uint64_t> nonempty_sizes;
-  for (std::uint64_t b = 0; b < nbuckets; ++b) {
-    if (hist[b] > 0) {
-      nonempty_ids.push_back(b);
-      nonempty_sizes.push_back(hist[b]);
-    }
-  }
-  std::vector<int> owner_of =
-      assign_buckets(nonempty_ids, nonempty_sizes, owners);
-  std::vector<bool> is_mine(nbuckets, false);
-  for (std::size_t i = 0; i < nonempty_ids.size(); ++i) {
-    if (owner_of[i] + first_owner_rank == target_rank) {
-      is_mine[nonempty_ids[i]] = true;
-    }
-  }
-
+  // The union of the per-rank collections, which block-partition the EST
+  // ids, filtered to the target's buckets.
   std::vector<BucketedSuffix> owned;
-  for (const auto& bs : all) {
-    if (is_mine[bs.bucket]) owned.push_back(bs);
-  }
-  all.clear();
-  all.shrink_to_fit();
-  // Same canonical order as the post-exchange sort: (bucket, sid, pos) is
-  // a total order over unique keys, so the source-rank interleaving the
-  // all-to-all would have produced is irrelevant.
-  std::sort(owned.begin(), owned.end(),
-            [](const BucketedSuffix& a, const BucketedSuffix& b) {
-              if (a.bucket != b.bucket) return a.bucket < b.bucket;
-              if (a.occ.sid != b.occ.sid) return a.occ.sid < b.occ.sid;
-              return a.occ.pos < b.occ.pos;
-            });
+  for_each_bucketed_suffix(
+      ests, 0, static_cast<bio::StringId>(ests.num_strings()), cfg.window,
+      [&](std::uint64_t bucket, const SuffixOcc& occ) {
+        if (owner[bucket] == target_rank) owned.push_back({bucket, occ});
+      });
+  sort_canonical(owned);
 
   BuildCounters local;
-  std::vector<Tree> forest;
-  std::size_t i = 0;
-  while (i < owned.size()) {
-    std::size_t j = i;
-    while (j < owned.size() && owned[j].bucket == owned[i].bucket) ++j;
-    std::vector<SuffixOcc> bucket;
-    bucket.reserve(j - i);
-    for (std::size_t k = i; k < j; ++k) bucket.push_back(owned[k].occ);
-    forest.push_back(build_bucket_tree(ests, std::move(bucket), cfg.window,
-                                       owned[i].bucket, local));
-    i = j;
-  }
+  std::vector<Tree> forest = refine_owned(ests, owned, cfg.window, local);
   if (counters) *counters = local;
   return forest;
 }
@@ -223,35 +222,17 @@ std::vector<std::uint64_t> owned_bucket_ids(const bio::EstSet& ests,
                                             std::uint64_t* suffixes_scanned) {
   ESTCLUST_CHECK(first_owner_rank >= 0 && first_owner_rank < p);
   ESTCLUST_CHECK(target_rank >= first_owner_rank && target_rank < p);
-  const int owners = p - first_owner_rank;
-
-  std::vector<BucketedSuffix> all;
-  collect_suffixes(ests, bio::EstSet::forward_sid(0),
-                   bio::EstSet::forward_sid(ests.num_ests()), cfg.window,
-                   all);
-  if (suffixes_scanned) *suffixes_scanned = all.size();
-
-  const std::uint64_t nbuckets = num_buckets(cfg.window);
-  std::vector<std::uint64_t> hist(nbuckets, 0);
-  for (const auto& bs : all) ++hist[bs.bucket];
-
-  std::vector<std::uint64_t> nonempty_ids;
-  std::vector<std::uint64_t> nonempty_sizes;
-  for (std::uint64_t b = 0; b < nbuckets; ++b) {
-    if (hist[b] > 0) {
-      nonempty_ids.push_back(b);
-      nonempty_sizes.push_back(hist[b]);
-    }
+  const std::vector<std::uint64_t> hist = global_histogram(ests, cfg.window);
+  if (suffixes_scanned) {
+    *suffixes_scanned = 0;
+    for (std::uint64_t n : hist) *suffixes_scanned += n;
   }
-  std::vector<int> owner_of =
-      assign_buckets(nonempty_ids, nonempty_sizes, owners);
+  const std::vector<int> owner = assign_owners(hist, p, first_owner_rank);
   std::vector<std::uint64_t> mine;
-  for (std::size_t i = 0; i < nonempty_ids.size(); ++i) {
-    if (owner_of[i] + first_owner_rank == target_rank) {
-      mine.push_back(nonempty_ids[i]);
-    }
+  for (std::uint64_t b = 0; b < owner.size(); ++b) {
+    if (owner[b] == target_rank) mine.push_back(b);
   }
-  return mine;  // nonempty_ids ascends, so the filtered ids stay sorted
+  return mine;
 }
 
 }  // namespace estclust::gst

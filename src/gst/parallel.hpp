@@ -61,10 +61,12 @@ std::vector<Tree> rebuild_rank_forest(const bio::EstSet& ests,
                                       BuildCounters* counters = nullptr);
 
 /// The bucket ids `target_rank` owns under build_forest_parallel with the
-/// same `ests`, `cfg`, `p` and `first_owner_rank` — the first half of
-/// rebuild_rank_forest without refining any trees, sorted ascending.
-/// Non-GST pair sources only need ownership, not trees, to regenerate a
-/// dead rank's stream. `suffixes_scanned` (optional) receives the
+/// same `ests`, `cfg`, `p` and `first_owner_rank`, sorted ascending — the
+/// ownership half of rebuild_rank_forest, from a histogram counted in one
+/// rolling pass with no suffix materialized and no tree refined. The
+/// seed pair sources need only ownership, so cluster_sequential and
+/// cluster_parallel call this for them instead of building the forest,
+/// and the master calls it to regenerate a dead rank's stream. `suffixes_scanned` (optional) receives the
 /// bucketing-scan work for clock charging.
 std::vector<std::uint64_t> owned_bucket_ids(
     const bio::EstSet& ests, const GstConfig& cfg, int p,

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <memory>
 
-#include "gst/parallel.hpp"
 #include "mpr/fault.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "pace/share.hpp"
 #include "util/check.hpp"
 
 namespace estclust::pace {
@@ -284,24 +284,9 @@ void Master::handle_death(int slave, const HeartbeatMsg& hb) {
   // the filter is idempotent — the aligner's verdicts are deterministic
   // and unite() converges — so the final clusters match the fault-free
   // run exactly.
-  std::vector<gst::Tree> forest;
-  std::unique_ptr<pairgen::PairSource> gen;
-  if (cfg_.pair_source == pairgen::Backend::kGst) {
-    gst::BuildCounters bc;
-    forest = gst::rebuild_rank_forest(ests_, cfg_.gst, comm_.size(),
-                                      /*first_owner_rank=*/1, slave, &bc);
-    comm_.charge(comm_.cost_model().char_op, bc.chars_scanned);
-    gen = pairgen::make_pair_source(cfg_.pair_source, ests_, forest,
-                                    cfg_.gst.window, cfg_.psi);
-  } else {
-    std::uint64_t scanned = 0;
-    auto owned =
-        gst::owned_bucket_ids(ests_, cfg_.gst, comm_.size(),
-                              /*first_owner_rank=*/1, slave, &scanned);
-    comm_.charge(comm_.cost_model().char_op, scanned);
-    gen = pairgen::make_pair_source_for_buckets(
-        cfg_.pair_source, ests_, std::move(owned), cfg_.gst.window, cfg_.psi);
-  }
+  RankShare share =
+      recompute_share(comm_, ests_, cfg_, /*first_owner_rank=*/1, slave);
+  auto gen = make_source(ests_, cfg_, share);
   comm_.charge(comm_.cost_model().sort_op, gen->construction_sort_units());
   std::vector<pairgen::PromisingPair> batch;
   while (gen->next_batch(cfg_.pairbuf_capacity, batch) > 0) {

@@ -7,6 +7,7 @@
 #include "obs/trace.hpp"
 #include "pace/aligner.hpp"
 #include "pace/master.hpp"
+#include "pace/share.hpp"
 #include "pace/slave.hpp"
 #include "pairgen/source.hpp"
 #include "util/check.hpp"
@@ -47,6 +48,45 @@ std::vector<std::uint32_t> decode_labels(const mpr::Buffer& b) {
   return labels;
 }
 
+/// §3.1 for this rank. gst: the collective distributed-GST build, which
+/// every rank joins. kmer/fm: each owning rank recomputes its bucket share
+/// offline under the partitioning span — no communication and no forest;
+/// ranks below `first_owner_rank` own nothing and skip the scan. Sets
+/// `st.t_partition` / `st.t_gst` to this rank's own phase times.
+RankShare partition_phase(mpr::Communicator& comm, const bio::EstSet& ests,
+                          const PaceConfig& cfg, int first_owner_rank,
+                          PaceStats& st) {
+  RankShare share;
+  if (cfg.pair_source == pairgen::Backend::kGst) {
+    gst::ParallelBuildStats build_stats;
+    share.forest = gst::build_forest_parallel(comm, ests, cfg.gst,
+                                              &build_stats, first_owner_rank);
+    st.t_partition = build_stats.partition_vtime;
+    st.t_gst = build_stats.build_vtime;
+  } else if (comm.rank() >= first_owner_rank) {
+    ESTCLUST_TRACE_SPAN(comm.tracer(), "partitioning", "phase");
+    const double t = comm.clock().time();
+    share = recompute_share(comm, ests, cfg, first_owner_rank, comm.rank());
+    st.t_partition = comm.clock().time() - t;
+  }
+  return share;
+}
+
+/// Builds this rank's pair source inside the node_sorting span (the GST
+/// walk's node sorting — Table 3's "Sorting Nodes" column — or the seed
+/// backends' index construction) and sets `st.t_sort` to its time.
+std::unique_ptr<pairgen::PairSource> node_sorting_phase(
+    mpr::Communicator& comm, const bio::EstSet& ests, const PaceConfig& cfg,
+    RankShare& share, PaceStats& st) {
+  ESTCLUST_TRACE_SPAN(comm.tracer(), "node_sorting", "phase");
+  const double t = comm.clock().time();
+  auto source = make_source(ests, cfg, share);
+  comm.charge(comm.cost_model().sort_op, source->construction_sort_units());
+  st.t_sort = comm.clock().time() - t;
+  comm.metrics().gauge("pace.t_sort", obs::MergeOp::kMax).set(st.t_sort);
+  return source;
+}
+
 /// p = 1: the full pipeline on one rank with identical charging, so the
 /// single-processor point of the scaling curves is measured by the same
 /// clock as the parallel points.
@@ -57,21 +97,11 @@ ParallelResult cluster_single_rank(mpr::Communicator& comm,
   ParallelResult res;
   PaceStats& st = res.stats;
 
-  gst::ParallelBuildStats build_stats;
-  auto forest = gst::build_forest_parallel(comm, ests, cfg.gst, &build_stats);
-  st.t_partition = build_stats.partition_vtime;
-  st.t_gst = build_stats.build_vtime;
+  RankShare share = partition_phase(comm, ests, cfg, 0, st);
+  auto gen = node_sorting_phase(comm, ests, cfg, share, st);
 
   obs::RankTracer* tracer = comm.tracer();
-  double t = comm.clock().time();
-  if (tracer) tracer->begin("node_sorting", "phase");
-  auto gen = pairgen::make_pair_source(cfg.pair_source, ests, forest,
-                                       cfg.gst.window, cfg.psi);
-  comm.charge(cm.sort_op, gen->construction_sort_units());
-  st.t_sort = comm.clock().time() - t;
-  if (tracer) tracer->end("node_sorting");
-
-  t = comm.clock().time();
+  const double t = comm.clock().time();
   if (tracer) tracer->begin("alignment", "phase");
   cluster::UnionFind uf(ests.num_ests());
   std::uint64_t uf_charged = 0;
@@ -167,13 +197,11 @@ ParallelResult cluster_parallel(mpr::Communicator& comm,
   ParallelResult res;
   PaceStats& st = res.stats;
 
-  // Phase 1+2: distributed GST, buckets owned by slaves only.
-  gst::ParallelBuildStats build_stats;
-  auto forest = gst::build_forest_parallel(comm, ests, effective.gst,
-                                           &build_stats,
-                                           /*first_owner_rank=*/1);
-  st.t_partition = comm.allreduce_max(build_stats.partition_vtime);
-  st.t_gst = comm.allreduce_max(build_stats.build_vtime);
+  // Phase 1+2: each slave's §3.1 share; the master owns no bucket.
+  RankShare share =
+      partition_phase(comm, ests, effective, /*first_owner_rank=*/1, st);
+  st.t_partition = comm.allreduce_max(st.t_partition);
+  st.t_gst = comm.allreduce_max(st.t_gst);
 
   // Phase 3+4: master/slave clustering loop.
   std::vector<std::uint32_t> labels;
@@ -192,7 +220,8 @@ ParallelResult cluster_parallel(mpr::Communicator& comm,
     st.num_clusters = master.clusters().num_clusters();
     res.overlaps = std::move(master.overlaps());
   } else {
-    Slave slave(comm, ests, effective, forest);
+    auto source = node_sorting_phase(comm, ests, effective, share, st);
+    Slave slave(comm, ests, effective, std::move(source));
     slave_counters = slave.run();
   }
 
@@ -205,7 +234,7 @@ ParallelResult cluster_parallel(mpr::Communicator& comm,
   st.merges = comm.allreduce_sum(master_counters.merges);
   st.num_clusters = static_cast<std::size_t>(
       comm.allreduce_max(static_cast<std::uint64_t>(st.num_clusters)));
-  st.t_sort = comm.allreduce_max(slave_counters.sort_vtime);
+  st.t_sort = comm.allreduce_max(st.t_sort);
   st.t_align = comm.allreduce_max(slave_counters.loop_vtime);
   st.t_total = comm.allreduce_max(comm.clock().time());
   st.master_busy_fraction =

@@ -1,5 +1,7 @@
-// Parallel EST clustering driver (Fig 2): distributed GST construction,
-// on-demand pair generation on the slaves, master-directed clustering.
+// Parallel EST clustering driver (Fig 2): each slave's §3.1 share of the
+// workload (the distributed GST for the gst backend, an offline ownership
+// scan for kmer/fm), on-demand pair generation on the slaves,
+// master-directed clustering.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +29,8 @@ struct ParallelResult {
 
 /// Collective: every rank of `comm` calls this with the same inputs.
 /// Rank 0 acts as the master (clusters + pair selection); the remaining
-/// ranks build the distributed GST, generate pairs and align. With a
+/// ranks build their pair source over their §3.1 bucket share, generate
+/// pairs and align. Only the gst backend builds the distributed GST. With a
 /// single rank the whole pipeline runs locally under the same virtual-time
 /// accounting, providing the p = 1 baseline of Fig 6.
 ParallelResult cluster_parallel(mpr::Communicator& comm,

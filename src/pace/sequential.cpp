@@ -3,8 +3,9 @@
 #include <algorithm>
 
 #include "gst/builder.hpp"
+#include "gst/parallel.hpp"
 #include "pace/aligner.hpp"
-#include "pairgen/source.hpp"
+#include "pace/share.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
@@ -29,13 +30,20 @@ SequentialResult cluster_sequential(const bio::EstSet& ests,
   PaceStats& st = res.stats;
   WallTimer total;
 
+  // Only the GST walk needs the forest; the seed backends own every
+  // non-empty bucket and build their own index.
   WallTimer phase;
-  auto forest = gst::build_forest_sequential(ests, cfg.gst.window);
-  st.t_gst = phase.seconds();
+  RankShare share;
+  if (cfg.pair_source == pairgen::Backend::kGst) {
+    share.forest = gst::build_forest_sequential(ests, cfg.gst.window);
+    st.t_gst = phase.seconds();
+  } else {
+    share.buckets = gst::owned_bucket_ids(ests, cfg.gst, 1, 0, 0);
+    st.t_partition = phase.seconds();
+  }
 
   phase.reset();
-  auto gen = pairgen::make_pair_source(cfg.pair_source, ests, forest,
-                                       cfg.gst.window, cfg.psi);
+  auto gen = make_source(ests, cfg, share);
   st.t_sort = phase.seconds();
 
   phase.reset();

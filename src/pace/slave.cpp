@@ -19,22 +19,14 @@ std::array<std::size_t, 3> startup_split(std::size_t batchsize) {
 }
 
 Slave::Slave(mpr::Communicator& comm, const bio::EstSet& ests,
-             const PaceConfig& cfg, const std::vector<gst::Tree>& forest)
+             const PaceConfig& cfg,
+             std::unique_ptr<pairgen::PairSource> source)
     : comm_(comm),
       ests_(ests),
       cfg_(cfg),
-      source_(pairgen::make_pair_source(cfg.pair_source, ests, forest,
-                                        cfg.gst.window, cfg.psi)),
+      source_(std::move(source)),
       aligner_(ests, cfg),
-      reliable_(comm.fault_plan() != nullptr) {
-  // The source's constructor did its one-off setup (node sorting for the
-  // GST walk — Table 3's "Sorting Nodes" column — or index construction
-  // for the k-mer/FM backends); charge it to this rank's clock.
-  ESTCLUST_TRACE_SPAN(comm_.tracer(), "node_sorting", "phase");
-  const double before = comm_.clock().time();
-  comm_.charge(comm_.cost_model().sort_op, source_->construction_sort_units());
-  counters_.sort_vtime = comm_.clock().time() - before;
-}
+      reliable_(comm.fault_plan() != nullptr) {}
 
 bool Slave::out_of_pairs() const {
   return source_->exhausted() && pairbuf_.empty();
@@ -289,7 +281,6 @@ SlaveCounters Slave::finish(double loop_start) {
   metrics.counter("pace.memo_hits").add(counters_.memo.hits);
   metrics.counter("pace.memo_insertions").add(counters_.memo.insertions);
   metrics.counter("pace.memo_evictions").add(counters_.memo.evictions);
-  metrics.gauge("pace.t_sort", obs::MergeOp::kMax).set(counters_.sort_vtime);
   metrics.gauge("pace.t_align", obs::MergeOp::kMax)
       .set(counters_.loop_vtime);
 

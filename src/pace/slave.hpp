@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "bio/dataset.hpp"
-#include "gst/tree.hpp"
 #include "mpr/communicator.hpp"
 #include "pace/aligner.hpp"
 #include "pace/config.hpp"
@@ -26,7 +25,6 @@ struct SlaveCounters {
   std::uint64_t pairs_aligned = 0;    ///< evaluated (memo hits included)
   std::uint64_t dp_cells = 0;
   MemoStats memo;                     ///< alignment memo-cache activity
-  double sort_vtime = 0.0;   ///< node sorting / index build (source setup)
   double loop_vtime = 0.0;   ///< interaction loop (alignment-dominated)
 };
 
@@ -40,9 +38,11 @@ std::array<std::size_t, 3> startup_split(std::size_t batchsize);
 
 class Slave {
  public:
-  /// `forest` is this rank's share of the distributed GST.
+  /// `source` streams this rank's share of the promising pairs;
+  /// cluster_parallel built it (and charged its setup) before the
+  /// protocol starts.
   Slave(mpr::Communicator& comm, const bio::EstSet& ests,
-        const PaceConfig& cfg, const std::vector<gst::Tree>& forest);
+        const PaceConfig& cfg, std::unique_ptr<pairgen::PairSource> source);
 
   /// Runs until the master's final assignment (stop flag) arrives, or —
   /// under a fault plan — until this rank's scheduled death checkpoint.

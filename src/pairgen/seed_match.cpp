@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "bio/alphabet.hpp"
+#include "gst/builder.hpp"
 #include "util/check.hpp"
 
 namespace estclust::pairgen {
@@ -33,16 +34,17 @@ SeedPairSource::SeedPairSource(const bio::EstSet& ests,
                                std::vector<std::uint64_t> owned_buckets,
                                std::uint32_t window, std::uint32_t psi)
     : ests_(ests),
-      owned_(std::move(owned_buckets)),
+      owned_(gst::num_buckets(window), false),
       window_(window),
       psi_(psi),
       k_(std::min<std::uint32_t>(psi, 32)) {
   ESTCLUST_CHECK(psi >= window);
-  ESTCLUST_CHECK(std::is_sorted(owned_.begin(), owned_.end()));
-}
-
-bool SeedPairSource::owns_bucket(std::uint64_t bucket) const {
-  return std::binary_search(owned_.begin(), owned_.end(), bucket);
+  ESTCLUST_CHECK(
+      std::is_sorted(owned_buckets.begin(), owned_buckets.end()));
+  for (std::uint64_t b : owned_buckets) {
+    ESTCLUST_CHECK(b < owned_.size());
+    owned_[b] = true;
+  }
 }
 
 void SeedPairSource::process_group(std::span<const gst::SuffixOcc> occs) {

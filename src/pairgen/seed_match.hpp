@@ -49,7 +49,7 @@ class SeedPairSource : public PairSource {
   /// groups, never loses an anchor.
   std::uint32_t seed_len() const { return k_; }
 
-  bool owns_bucket(std::uint64_t bucket) const;
+  bool owns_bucket(std::uint64_t bucket) const { return owned_[bucket]; }
 
   /// One seed group: every owned occurrence of one length-k seed, sorted
   /// by (sid, pos). Extends each i < j occurrence pair maximally, applies
@@ -63,7 +63,10 @@ class SeedPairSource : public PairSource {
   void finalize_records();
 
   const bio::EstSet& ests_;
-  std::vector<std::uint64_t> owned_;  ///< sorted §3.1 bucket ids
+  /// Dense 4^w membership bitmap of the owned §3.1 buckets (8 KiB at
+  /// w = 8): one bit test per indexed position. Not counted in
+  /// index_bytes(), which measures the seed index itself.
+  std::vector<bool> owned_;
   std::uint32_t window_;
   std::uint32_t psi_;
   std::uint32_t k_;

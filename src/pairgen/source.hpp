@@ -100,21 +100,24 @@ class PairSource {
   virtual std::uint64_t index_bytes() const = 0;
 };
 
-/// Builds a pair source over this rank's share of the workload. The GST
-/// backend wraps `forest` directly (and borrows it; it must outlive the
-/// source). kmer/fm derive their owned-bucket share and seed the index
-/// from the same forest's bucket ids, so all three backends emit the
-/// rank-local slice of the same global candidate set. `window` is the
-/// §3.1 bucketing prefix length w (needed when `forest` is empty).
+/// Builds a pair source over the share of the workload `forest` holds.
+/// The GST backend wraps `forest` directly (and borrows it; it must
+/// outlive the source). kmer/fm read only the forest's bucket ids and
+/// index those buckets, so all three backends emit the same slice of the
+/// global candidate set. The pace clustering entry points never build a
+/// forest for kmer/fm: they call make_pair_source_for_buckets with
+/// gst::owned_bucket_ids, which yields the same ids without the forest.
+/// `window` is the §3.1 bucketing prefix length w (needed when `forest`
+/// is empty).
 std::unique_ptr<PairSource> make_pair_source(
     Backend backend, const bio::EstSet& ests,
     const std::vector<gst::Tree>& forest, std::uint32_t window,
     std::uint32_t psi);
 
-/// kmer/fm only: builds a source from an explicit owned-bucket set (the
-/// master's rebuild-after-death path, which recomputes ownership via
-/// gst::owned_bucket_ids without refining any trees). `owned_buckets`
-/// must be sorted ascending.
+/// kmer/fm only: builds a source from an explicit owned-bucket set, as
+/// computed by gst::owned_bucket_ids without refining any trees. Every
+/// pace clustering entry point and the master's rebuild-after-death path
+/// construct the seed backends this way. `owned_buckets` must be sorted ascending.
 std::unique_ptr<PairSource> make_pair_source_for_buckets(
     Backend backend, const bio::EstSet& ests,
     std::vector<std::uint64_t> owned_buckets, std::uint32_t window,

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <mutex>
 #include <set>
@@ -418,6 +419,50 @@ TEST_P(ParallelGstTest, StatsAreConsistent) {
     global_seen = st.global_suffixes;
   });
   EXPECT_EQ(total_local, global_seen);
+}
+
+/// The offline recomputations (the seed backends' ownership scan and the
+/// master's dead-rank rebuild) agree with the collective build on
+/// every owning rank, with and without the master excluded from ownership
+/// (first_owner_rank = 1 needs p >= 2).
+TEST_P(ParallelGstTest, OfflineOwnershipMatchesCollectiveBuild) {
+  const int p = GetParam();
+  Prng rng(45);
+  EstSet ests = random_ests(rng, 14, 30, 80);
+  GstConfig cfg;
+  cfg.window = 3;
+  std::vector<BucketedSuffix> all;
+  collect_suffixes(ests, 0, static_cast<bio::StringId>(ests.num_strings()),
+                   cfg.window, all);
+
+  for (int first_owner : {0, 1}) {
+    if (first_owner >= p) continue;
+    std::mutex mu;
+    std::vector<std::vector<Tree>> forests(p);
+    mpr::Runtime rt(p, mpr::CostModel{});
+    rt.run([&](mpr::Communicator& comm) {
+      auto local = build_forest_parallel(comm, ests, cfg, nullptr, first_owner);
+      std::lock_guard<std::mutex> lock(mu);
+      forests[comm.rank()] = std::move(local);
+    });
+    for (int r = 0; r < first_owner; ++r) EXPECT_TRUE(forests[r].empty());
+    for (int r = first_owner; r < p; ++r) {
+      std::vector<std::uint64_t> ids;
+      for (const auto& t : forests[r]) ids.push_back(t.bucket_id);
+      std::sort(ids.begin(), ids.end());
+      std::uint64_t scanned = 0;
+      EXPECT_EQ(owned_bucket_ids(ests, cfg, p, first_owner, r, &scanned), ids)
+          << "p=" << p << " first_owner=" << first_owner << " rank=" << r;
+      EXPECT_EQ(scanned, all.size());
+
+      auto rebuilt = rebuild_rank_forest(ests, cfg, p, first_owner, r);
+      ASSERT_EQ(rebuilt.size(), forests[r].size());
+      for (std::size_t i = 0; i < rebuilt.size(); ++i) {
+        EXPECT_TRUE(trees_equal(rebuilt[i], forests[r][i]))
+            << "bucket " << rebuilt[i].bucket_id << " differs at p=" << p;
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, ParallelGstTest,

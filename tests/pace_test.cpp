@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <mutex>
+#include <string>
 
 #include "mpr/runtime.hpp"
 #include "pace/memo.hpp"
@@ -485,6 +486,43 @@ TEST(Parallel, HotPathFlagsDoNotChangePartition) {
     });
     EXPECT_EQ(labels, want) << "memo=" << v.memo << " bounded=" << v.bounded
                             << " adaptive=" << v.adaptive;
+  }
+}
+
+/// Only the GST walk builds the forest: seed-backend runs publish no GST
+/// build work at any rank count (their §3.1 share is the ownership scan,
+/// charged to the partitioning phase), while gst runs do.
+TEST(Parallel, OnlyTheGstBackendBuildsTheForest) {
+  auto wl = test_workload(60);
+  for (pairgen::Backend b : pairgen::kAllBackends) {
+    auto cfg = test_config();
+    cfg.pair_source = b;
+    for (int p : {1, 2, 4}) {
+      PaceStats stats;
+      std::mutex mu;
+      mpr::Runtime rt(p, mpr::CostModel{});
+      rt.run([&](mpr::Communicator& comm) {
+        auto res = cluster_parallel(comm, wl.ests, cfg);
+        if (comm.rank() == 0) {
+          std::lock_guard<std::mutex> lock(mu);
+          stats = res.stats;
+        }
+      });
+      const auto merged = rt.merged_metrics();
+      const std::string what =
+          std::string(pairgen::backend_name(b)) + " p=" + std::to_string(p);
+      if (b == pairgen::Backend::kGst) {
+        EXPECT_GT(merged.counter_value("gst.chars_scanned"), 0u) << what;
+        EXPECT_GT(merged.counter_value("gst.buckets_owned"), 0u) << what;
+        EXPECT_GT(stats.t_gst, 0.0) << what;
+      } else {
+        // counter_value reads 0 for an absent counter.
+        EXPECT_EQ(merged.counter_value("gst.chars_scanned"), 0u) << what;
+        EXPECT_EQ(merged.counter_value("gst.buckets_owned"), 0u) << what;
+        EXPECT_EQ(stats.t_gst, 0.0) << what;
+      }
+      EXPECT_GT(stats.t_partition, 0.0) << what;
+    }
   }
 }
 

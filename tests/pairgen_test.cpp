@@ -8,6 +8,7 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <tuple>
@@ -15,6 +16,8 @@
 #include "bio/alphabet.hpp"
 #include "bio/dataset.hpp"
 #include "gst/builder.hpp"
+#include "gst/parallel.hpp"
+#include "mpr/runtime.hpp"
 #include "pairgen/generator.hpp"
 #include "pairgen/source.hpp"
 #include "util/check.hpp"
@@ -292,6 +295,57 @@ TEST(PairGenerator, EmissionCountBoundedByDistinctMaximalSubstrings) {
     auto maximal = maximal_common_substrings(sa, sb, psi);
     EXPECT_LE(count, maximal.size())
         << "pair (" << a << "," << b << ",rc=" << rc << ")";
+  }
+}
+
+/// A rank's source built from its offline-recomputed share — the bucket
+/// ids for kmer/fm, the rebuilt forest for gst — streams exactly what the
+/// source over the collectively built forest streams, for every owning
+/// rank, p and master exclusion (first_owner_rank = 1 needs p >= 2).
+TEST(PairSource, OfflineShareStreamsLikeTheBuiltForest) {
+  Prng rng(29);
+  EstSet ests = overlap_ests(rng, 12, 3);
+  gst::GstConfig cfg;
+  cfg.window = 3;
+  const std::uint32_t psi = 10;
+  for (int p : {1, 2, 3, 4, 8}) {
+    for (int first_owner : {0, 1}) {
+      if (first_owner >= p) continue;
+      std::mutex mu;
+      std::vector<std::vector<gst::Tree>> forests(p);
+      mpr::Runtime rt(p, mpr::CostModel{});
+      rt.run([&](mpr::Communicator& comm) {
+        auto local =
+            gst::build_forest_parallel(comm, ests, cfg, nullptr, first_owner);
+        std::lock_guard<std::mutex> lock(mu);
+        forests[comm.rank()] = std::move(local);
+      });
+      for (int r = first_owner; r < p; ++r) {
+        auto built = make_source(ests, forests[r], cfg.window, psi);
+        const auto rebuilt = gst::rebuild_rank_forest(ests, cfg, p,
+                                                      first_owner, r);
+        auto offline =
+            gst_backend()
+                ? make_source(ests, rebuilt, cfg.window, psi)
+                : make_pair_source_for_buckets(
+                      test_backend(), ests,
+                      gst::owned_bucket_ids(ests, cfg, p, first_owner, r),
+                      cfg.window, psi);
+        const auto want = drain(*built);
+        const auto got = drain(*offline);
+        ASSERT_EQ(got.size(), want.size())
+            << "p=" << p << " first_owner=" << first_owner << " rank=" << r;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(std::tie(got[i].a, got[i].b, got[i].b_rc,
+                             got[i].match_len, got[i].a_pos, got[i].b_pos),
+                    std::tie(want[i].a, want[i].b, want[i].b_rc,
+                             want[i].match_len, want[i].a_pos, want[i].b_pos));
+        }
+        EXPECT_EQ(offline->construction_sort_units(),
+                  built->construction_sort_units());
+        EXPECT_EQ(offline->index_bytes(), built->index_bytes());
+      }
+    }
   }
 }
 

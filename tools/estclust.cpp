@@ -117,6 +117,11 @@ pace::PaceConfig cluster_config(const CliArgs& args) {
 int cmd_cluster(const CliArgs& args) {
   auto in = args.get("in");
   if (!in) return usage();
+  int ranks = static_cast<int>(args.get_int("ranks", 1));
+  if (ranks < 1) {
+    std::cerr << "--ranks must be >= 1 (got " << ranks << ")\n";
+    return usage();
+  }
   bio::EstSet ests(bio::read_fasta_file(*in));
   auto cfg = cluster_config(args);
 
@@ -141,7 +146,6 @@ int cmd_cluster(const CliArgs& args) {
   faults.validate();
 
   std::vector<std::uint32_t> labels;
-  int ranks = static_cast<int>(args.get_int("ranks", 1));
   // Observability, checking and fault injection ride on the virtual-time
   // runtime; a single-rank request for any of them still routes through
   // it (with p = 2: one master, one slave).
@@ -346,6 +350,11 @@ int cmd_splice(const CliArgs& args) {
 int cmd_assemble(const CliArgs& args) {
   auto in = args.get("in");
   if (!in) return usage();
+  int ranks = static_cast<int>(args.get_int("ranks", 1));
+  if (ranks < 1) {
+    std::cerr << "--ranks must be >= 1 (got " << ranks << ")\n";
+    return usage();
+  }
   bio::EstSet ests(bio::read_fasta_file(*in));
   auto cfg = cluster_config(args);
 
