@@ -1,5 +1,9 @@
 #include "pace/aligner.hpp"
 
+#include <string>
+
+#include "align/dispatch.hpp"
+
 namespace estclust::pace {
 
 namespace {
@@ -60,6 +64,27 @@ PairEvaluation PairAligner::evaluate(const pairgen::PromisingPair& pair) {
   out.accepted = align::accept_overlap(out.overlap, cfg_.overlap);
   memo_.insert(pair, window, out.overlap, out.accepted);
   return out;
+}
+
+void publish_aligner_metrics(obs::MetricsRegistry& metrics,
+                             obs::RankTracer* tracer,
+                             const PairAligner& aligner,
+                             std::uint64_t pairs_aligned) {
+  metrics.counter("pace.pairs_aligned").add(pairs_aligned);
+  const MemoStats& memo = aligner.memo_stats();
+  metrics.counter("pace.memo_lookups").add(memo.lookups);
+  metrics.counter("pace.memo_hits").add(memo.hits);
+  metrics.counter("pace.memo_insertions").add(memo.insertions);
+  metrics.counter("pace.memo_evictions").add(memo.evictions);
+  const align::KernelVariant kv = align::active_kernel();
+  metrics.counter(std::string("kernel.variant.") + align::to_string(kv))
+      .add(pairs_aligned);
+  metrics.gauge("align.arena_bytes", obs::MergeOp::kMax)
+      .set(static_cast<double>(aligner.arena().high_water_bytes()));
+  if (tracer) {
+    tracer->instant("kernel.variant", "align",
+                    static_cast<std::uint64_t>(kv));
+  }
 }
 
 }  // namespace estclust::pace

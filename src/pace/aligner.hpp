@@ -4,6 +4,8 @@
 #include "align/anchored.hpp"
 #include "align/kernel.hpp"
 #include "bio/dataset.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "pace/config.hpp"
 #include "pace/memo.hpp"
 #include "pairgen/generator.hpp"
@@ -50,5 +52,13 @@ class PairAligner {
   align::AlignArena arena_;
   AlignMemo memo_;
 };
+
+/// Publishes one rank's aligner activity: pairs aligned (also under the
+/// active kernel variant, pure observability), memo counters, the arena
+/// high-water gauge, and a kernel.variant trace instant.
+void publish_aligner_metrics(obs::MetricsRegistry& metrics,
+                             obs::RankTracer* tracer,
+                             const PairAligner& aligner,
+                             std::uint64_t pairs_aligned);
 
 }  // namespace estclust::pace

@@ -21,7 +21,7 @@ Master::Master(mpr::Communicator& comm, const bio::EstSet& ests,
     : comm_(comm),
       ests_(ests),
       cfg_(cfg),
-      clusters_(ests.num_ests()),
+      cluster_state_(ests.num_ests()),
       num_slaves_(comm.size() - 1),
       reliable_(comm.fault_plan() != nullptr),
       state_(comm.size(), SlaveState::kExpectingReport),
@@ -44,17 +44,14 @@ bool Master::all_waiting() const {
 }
 
 void Master::process_report(int slave, const ReportMsg& msg) {
-  ++counters_.interactions;
+  ++interactions_;
   // Incorporate alignment results: merge clusters for accepted overlaps.
   for (const auto& r : msg.results) {
-    if (r.accepted) {
-      ++counters_.pairs_accepted;
-      if (clusters_.unite(r.a, r.b)) ++counters_.merges;
-      overlaps_.push_back({r.a, r.b, r.b_rc != 0,
-                           static_cast<align::OverlapKind>(r.kind),
-                           r.a_begin, r.a_end, r.b_begin, r.b_end,
-                           static_cast<double>(r.quality)});
-    }
+    if (!r.accepted) continue;
+    cluster_state_.merge({r.a, r.b, r.b_rc != 0,
+                          static_cast<align::OverlapKind>(r.kind),
+                          r.a_begin, r.a_end, r.b_begin, r.b_end,
+                          static_cast<double>(r.quality)});
   }
   // Admit reported pairs whose ESTs are still in different clusters.
   const std::uint64_t admitted = admit_pairs(msg.pairs);
@@ -83,25 +80,20 @@ void Master::process_report(int slave, const ReportMsg& msg) {
   }
 
   // Charge union-find work incurred since the last report.
-  std::uint64_t ops = clusters_.operations();
-  comm_.charge(comm_.cost_model().uf_op, ops - uf_ops_charged_);
-  uf_ops_charged_ = ops;
+  comm_.charge(comm_.cost_model().uf_op, cluster_state_.take_uf_ops());
 }
 
 std::uint64_t Master::admit_pairs(
     const std::vector<pairgen::PromisingPair>& pairs) {
   std::uint64_t admitted = 0;
   for (const auto& p : pairs) {
-    if (clusters_.same(p.a, p.b)) {
-      ++counters_.pairs_skipped;
-    } else {
-      // The E rule keeps the buffer under capacity in steady state; the
-      // unsolicited initial batches may nudge past it, so the capacity is
-      // soft (compute_request sees nfree = 0 and throttles).
-      workbuf_.push_back(p);
-      ++counters_.pairs_enqueued;
-      ++admitted;
-    }
+    if (cluster_state_.skip(p)) continue;
+    // The E rule keeps the buffer under capacity in steady state; the
+    // unsolicited initial batches may nudge past it, so the capacity is
+    // soft (compute_request sees nfree = 0 and throttles).
+    workbuf_.push_back(p);
+    ++pairs_enqueued_;
+    ++admitted;
   }
   return admitted;
 }
@@ -254,7 +246,6 @@ bool Master::await_report(int slave, bool flush, ReportMsg& out) {
 }
 
 void Master::handle_death(int slave, const HeartbeatMsg& hb) {
-  ++counters_.slave_deaths;
   state_[slave] = SlaveState::kDead;
   passive_[slave] = true;
   for (auto it = wait_queue_.begin(); it != wait_queue_.end();) {
@@ -294,10 +285,7 @@ void Master::handle_death(int slave, const HeartbeatMsg& hb) {
     recovered += admit_pairs(batch);
     batch.clear();
   }
-  const std::uint64_t ops = clusters_.operations();
-  comm_.charge(comm_.cost_model().uf_op, ops - uf_ops_charged_);
-  uf_ops_charged_ = ops;
-  counters_.pairs_recovered += recovered;
+  comm_.charge(comm_.cost_model().uf_op, cluster_state_.take_uf_ops());
   comm_.metrics().counter("pace.pairs_recovered").add(recovered);
   if (obs::RankTracer* tracer = comm_.tracer()) {
     tracer->instant("pace.recover", "fault",
@@ -394,11 +382,12 @@ void Master::run() {
   // Publish the master's counters onto the runtime's registry; merged
   // across ranks these join the slave-side counts under one namespace.
   auto& metrics = comm_.metrics();
-  metrics.counter("pace.pairs_accepted").add(counters_.pairs_accepted);
-  metrics.counter("pace.pairs_skipped").add(counters_.pairs_skipped);
-  metrics.counter("pace.pairs_enqueued").add(counters_.pairs_enqueued);
-  metrics.counter("pace.merges").add(counters_.merges);
-  metrics.counter("pace.master_interactions").add(counters_.interactions);
+  const PaceStats& st = cluster_state_.stats;
+  metrics.counter("pace.pairs_accepted").add(st.pairs_accepted);
+  metrics.counter("pace.pairs_skipped").add(st.pairs_skipped);
+  metrics.counter("pace.pairs_enqueued").add(pairs_enqueued_);
+  metrics.counter("pace.merges").add(st.merges);
+  metrics.counter("pace.master_interactions").add(interactions_);
   if (dup_reports_ignored_ > 0) {
     metrics.counter("pace.dup_reports_ignored").add(dup_reports_ignored_);
   }

@@ -8,24 +8,12 @@
 #include <vector>
 
 #include "bio/dataset.hpp"
-#include "cluster/union_find.hpp"
 #include "mpr/communicator.hpp"
+#include "pace/cluster_state.hpp"
 #include "pace/config.hpp"
 #include "pace/messages.hpp"
-#include "pace/sequential.hpp"
 
 namespace estclust::pace {
-
-/// Master-side counters.
-struct MasterCounters {
-  std::uint64_t pairs_skipped = 0;   ///< dropped: already co-clustered
-  std::uint64_t pairs_enqueued = 0;  ///< admitted to WORKBUF
-  std::uint64_t pairs_accepted = 0;  ///< results with a passing alignment
-  std::uint64_t merges = 0;
-  std::uint64_t interactions = 0;    ///< slave messages processed
-  std::uint64_t slave_deaths = 0;    ///< heartbeat notices handled
-  std::uint64_t pairs_recovered = 0; ///< re-admitted after a slave death
-};
 
 class Master {
  public:
@@ -36,11 +24,8 @@ class Master {
   /// in-flight work has been reported; sends STOP to all slaves.
   void run();
 
-  cluster::UnionFind& clusters() { return clusters_; }
-  const MasterCounters& counters() const { return counters_; }
-
-  /// Accepted overlaps reported by the slaves (for downstream assembly).
-  std::vector<AcceptedOverlap>& overlaps() { return overlaps_; }
+  /// CLUSTERS and the accepted overlaps the slaves reported.
+  ClusterState& cluster_state() { return cluster_state_; }
 
  private:
   enum class SlaveState : std::uint8_t {
@@ -94,9 +79,10 @@ class Master {
   mpr::Communicator& comm_;
   const bio::EstSet& ests_;
   const PaceConfig& cfg_;
-  cluster::UnionFind clusters_;
+  ClusterState cluster_state_;
   std::deque<pairgen::PromisingPair> workbuf_;
-  MasterCounters counters_;
+  std::uint64_t pairs_enqueued_ = 0;  ///< admitted to WORKBUF
+  std::uint64_t interactions_ = 0;    ///< slave messages processed
 
   int num_slaves_;
   bool reliable_ = false;  ///< fault plan installed: sequenced protocol on
@@ -120,8 +106,6 @@ class Master {
   // [1, batch_growth_limit], steered by the redundancy observed in each
   // report (skipped pairs + memo hits vs pairs + lookups).
   std::vector<std::size_t> multiplier_;
-  std::uint64_t uf_ops_charged_ = 0;
-  std::vector<AcceptedOverlap> overlaps_;
 };
 
 }  // namespace estclust::pace

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "cluster/union_find.hpp"
 #include "gst/parallel.hpp"
 #include "obs/trace.hpp"
 #include "pace/aligner.hpp"
@@ -94,8 +93,8 @@ ParallelResult cluster_single_rank(mpr::Communicator& comm,
                                    const bio::EstSet& ests,
                                    const PaceConfig& cfg) {
   const auto& cm = comm.cost_model();
-  ParallelResult res;
-  PaceStats& st = res.stats;
+  ClusterState state(ests.num_ests());
+  PaceStats& st = state.stats;
 
   RankShare share = partition_phase(comm, ests, cfg, 0, st);
   auto gen = node_sorting_phase(comm, ests, cfg, share, st);
@@ -103,80 +102,32 @@ ParallelResult cluster_single_rank(mpr::Communicator& comm,
   obs::RankTracer* tracer = comm.tracer();
   const double t = comm.clock().time();
   if (tracer) tracer->begin("alignment", "phase");
-  cluster::UnionFind uf(ests.num_ests());
-  std::uint64_t uf_charged = 0;
   PairAligner aligner(ests, cfg);
   std::vector<pairgen::PromisingPair> batch;
   while (gen->next_batch(cfg.batchsize, batch) > 0) {
     comm.charge(cm.pair_op, gen->take_work_units());
     for (const auto& p : batch) {
-      if (uf.same(p.a, p.b)) {
-        ++st.pairs_skipped;
-        continue;
-      }
-      PairEvaluation ev = aligner.evaluate(p);
-      comm.charge(cm.dp_cell, ev.overlap.cells);
-      ++st.pairs_processed;
-      st.dp_cells += ev.overlap.cells;
-      if (ev.accepted) {
-        ++st.pairs_accepted;
-        if (uf.unite(p.a, p.b)) ++st.merges;
-        res.overlaps.push_back(
-            {p.a, p.b, p.b_rc, ev.overlap.kind,
-             static_cast<std::uint32_t>(ev.overlap.a_begin),
-             static_cast<std::uint32_t>(ev.overlap.a_end),
-             static_cast<std::uint32_t>(ev.overlap.b_begin),
-             static_cast<std::uint32_t>(ev.overlap.b_end),
-             ev.overlap.quality});
-      }
+      if (!state.skip(p)) comm.charge(cm.dp_cell, state.align(p, aligner));
     }
-    comm.charge(cm.uf_op, uf.operations() - uf_charged);
-    uf_charged = uf.operations();
+    comm.charge(cm.uf_op, state.take_uf_ops());
     batch.clear();
   }
   st.t_align = comm.clock().time() - t;
   if (tracer) tracer->end("alignment");
 
   st.pairs_generated = gen->stats().pairs_emitted;
-  st.num_clusters = uf.num_clusters();
+  st.num_clusters = state.clusters.num_clusters();
   st.t_total = comm.clock().time();
-  res.labels = uf.labels();
 
   auto& metrics = comm.metrics();
   metrics.counter("pace.pairs_generated").add(st.pairs_generated);
-  metrics.counter("pace.pairs_aligned").add(st.pairs_processed);
   metrics.counter("pace.pairs_accepted").add(st.pairs_accepted);
   metrics.counter("pace.pairs_skipped").add(st.pairs_skipped);
   metrics.counter("pace.merges").add(st.merges);
   metrics.counter("pace.dp_cells").add(st.dp_cells);
-  const MemoStats& memo = aligner.memo_stats();
-  metrics.counter("pace.memo_lookups").add(memo.lookups);
-  metrics.counter("pace.memo_hits").add(memo.hits);
-  metrics.counter("pace.memo_insertions").add(memo.insertions);
-  metrics.counter("pace.memo_evictions").add(memo.evictions);
-
-  // Kernel-variant attribution, mirroring Slave::finish: pure
-  // observability, every charged quantity is variant-invariant.
-  const align::KernelVariant kv = align::active_kernel();
-  switch (kv) {
-    case align::KernelVariant::kAvx2:
-      metrics.counter("kernel.variant.avx2").add(st.pairs_processed);
-      break;
-    case align::KernelVariant::kSse2:
-      metrics.counter("kernel.variant.sse2").add(st.pairs_processed);
-      break;
-    case align::KernelVariant::kScalar:
-      metrics.counter("kernel.variant.scalar").add(st.pairs_processed);
-      break;
-  }
-  metrics.gauge("align.arena_bytes", obs::MergeOp::kMax)
-      .set(static_cast<double>(aligner.arena().high_water_bytes()));
-  if (tracer) {
-    tracer->instant("kernel.variant", "align",
-                    static_cast<std::uint64_t>(kv));
-  }
+  publish_aligner_metrics(metrics, tracer, aligner, st.pairs_processed);
   publish_phase_gauges(comm, st);
-  return res;
+  return {state.clusters.labels(), st, std::move(state.overlaps)};
 }
 
 }  // namespace
@@ -206,7 +157,7 @@ ParallelResult cluster_parallel(mpr::Communicator& comm,
   // Phase 3+4: master/slave clustering loop.
   std::vector<std::uint32_t> labels;
   SlaveCounters slave_counters;
-  MasterCounters master_counters;
+  PaceStats master_stats;  // the master's cluster-step counters
   double master_busy = 0.0;
   if (comm.rank() == 0) {
     // Active = busy + comm: the master's work is mostly protocol handling,
@@ -215,10 +166,11 @@ ParallelResult cluster_parallel(mpr::Communicator& comm,
     Master master(comm, ests, effective);
     master.run();
     master_busy = comm.clock().active_time() - busy_before;
-    master_counters = master.counters();
-    labels = master.clusters().labels();
-    st.num_clusters = master.clusters().num_clusters();
-    res.overlaps = std::move(master.overlaps());
+    ClusterState& state = master.cluster_state();
+    master_stats = state.stats;
+    labels = state.clusters.labels();
+    st.num_clusters = state.clusters.num_clusters();
+    res.overlaps = std::move(state.overlaps);
   } else {
     auto source = node_sorting_phase(comm, ests, effective, share, st);
     Slave slave(comm, ests, effective, std::move(source));
@@ -229,9 +181,9 @@ ParallelResult cluster_parallel(mpr::Communicator& comm,
   st.pairs_generated = comm.allreduce_sum(slave_counters.pairs_generated);
   st.pairs_processed = comm.allreduce_sum(slave_counters.pairs_aligned);
   st.dp_cells = comm.allreduce_sum(slave_counters.dp_cells);
-  st.pairs_accepted = comm.allreduce_sum(master_counters.pairs_accepted);
-  st.pairs_skipped = comm.allreduce_sum(master_counters.pairs_skipped);
-  st.merges = comm.allreduce_sum(master_counters.merges);
+  st.pairs_accepted = comm.allreduce_sum(master_stats.pairs_accepted);
+  st.pairs_skipped = comm.allreduce_sum(master_stats.pairs_skipped);
+  st.merges = comm.allreduce_sum(master_stats.merges);
   st.num_clusters = static_cast<std::size_t>(
       comm.allreduce_max(static_cast<std::uint64_t>(st.num_clusters)));
   st.t_sort = comm.allreduce_max(st.t_sort);

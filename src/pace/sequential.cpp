@@ -25,8 +25,7 @@ SequentialResult cluster_sequential(const bio::EstSet& ests,
                                     const PaceConfig& cfg,
                                     SequentialOptions options) {
   cfg.validate();
-  const std::size_t n = ests.num_ests();
-  SequentialResult res{cluster::UnionFind(n), {}, {}};
+  SequentialResult res(ests.num_ests());
   PaceStats& st = res.stats;
   WallTimer total;
 
@@ -52,24 +51,8 @@ SequentialResult cluster_sequential(const bio::EstSet& ests,
   // verdict function as the parallel one.
   PairAligner aligner(ests, cfg);
   auto handle_pair = [&](const pairgen::PromisingPair& p) {
-    if (options.cluster_skip && res.clusters.same(p.a, p.b)) {
-      ++st.pairs_skipped;
-      return;
-    }
-    PairEvaluation ev = aligner.evaluate(p);
-    ++st.pairs_processed;
-    st.dp_cells += ev.overlap.cells;
-    if (ev.accepted) {
-      ++st.pairs_accepted;
-      if (res.clusters.unite(p.a, p.b)) ++st.merges;
-      res.overlaps.push_back(
-          {p.a, p.b, p.b_rc, ev.overlap.kind,
-           static_cast<std::uint32_t>(ev.overlap.a_begin),
-           static_cast<std::uint32_t>(ev.overlap.a_end),
-           static_cast<std::uint32_t>(ev.overlap.b_begin),
-           static_cast<std::uint32_t>(ev.overlap.b_end),
-           ev.overlap.quality});
-    }
+    if (options.cluster_skip && res.skip(p)) return;
+    res.align(p, aligner);
   };
 
   if (!options.arbitrary_order) {

@@ -1,40 +1,22 @@
 // Single-processor clustering driver.
 //
 // Shares every component with the parallel driver (GST, pair generation,
-// anchored alignment, union-find) but runs them in one thread with
-// wall-clock timing. This is the path Table 1, Table 2 and Fig 7 use, and
+// anchored alignment, the ClusterState step) but runs them in one thread
+// with wall-clock timing. This is the path Table 1, Table 2 and Fig 7 use, and
 // the natural entry point for library users without a rank group.
 #pragma once
 
 #include "bio/dataset.hpp"
-#include "cluster/union_find.hpp"
+#include "pace/cluster_state.hpp"
 #include "pace/config.hpp"
 
 namespace estclust::pace {
 
-/// An overlap that passed the §3.3 acceptance criteria: the evidence used
-/// to merge the pair's clusters, with coordinates for downstream layout
-/// and consensus (assembly).
-struct AcceptedOverlap {
-  bio::EstId a = 0;
-  bio::EstId b = 0;
-  bool b_rc = false;
-  align::OverlapKind kind = align::OverlapKind::kNone;
-  std::uint32_t a_begin = 0, a_end = 0;  ///< span in forward(e_a)
-  std::uint32_t b_begin = 0, b_end = 0;  ///< span in oriented(e_b)
-  double quality = 0.0;
-};
+/// The sequential driver's result is its final cluster state.
+using SequentialResult = ClusterState;
 
-struct SequentialResult {
-  cluster::UnionFind clusters;
-  PaceStats stats;
-  /// Every accepted overlap, in processing order (including those whose
-  /// ESTs were already co-clustered transitively).
-  std::vector<AcceptedOverlap> overlaps;
-};
-
-/// Ablation knobs for §3.2's central claims (the production defaults are
-/// both `false`/`true` respectively).
+/// Ablation knobs for §3.2's central claims. The defaults are the
+/// production behaviour: on-demand order, with cluster skipping.
 struct SequentialOptions {
   /// true: materialize every promising pair first and process in an order
   /// uncorrelated with match length (the memory-hungry strategy of prior
@@ -45,7 +27,8 @@ struct SequentialOptions {
   bool cluster_skip = true;
 };
 
-/// Clusters `ests` and returns the final union-find plus counters.
+/// Clusters `ests` and returns the final cluster state: union-find,
+/// counters and accepted overlaps.
 SequentialResult cluster_sequential(const bio::EstSet& ests,
                                     const PaceConfig& cfg,
                                     SequentialOptions options = {});

@@ -2,7 +2,9 @@
 
 #include <mutex>
 #include <string>
+#include <tuple>
 
+#include "align/dispatch.hpp"
 #include "mpr/runtime.hpp"
 #include "pace/memo.hpp"
 #include "pace/messages.hpp"
@@ -523,6 +525,93 @@ TEST(Parallel, OnlyTheGstBackendBuildsTheForest) {
       }
       EXPECT_GT(stats.t_partition, 0.0) << what;
     }
+  }
+}
+
+/// The sequential and single-rank drivers run the same §3.3 step over the
+/// same pair stream, so beyond the partition they must agree on every
+/// accepted overlap, in order, and on every step counter.
+TEST(LocalDrivers, SequentialAndSingleRankAgreeRecordForRecord) {
+  auto wl = test_workload();
+  const auto fields = [](const AcceptedOverlap& o) {
+    return std::tie(o.a, o.b, o.b_rc, o.kind, o.a_begin, o.a_end, o.b_begin,
+                    o.b_end, o.quality);
+  };
+  for (pairgen::Backend b : pairgen::kAllBackends) {
+    for (bool memo : {false, true}) {
+      auto cfg = test_config();
+      cfg.pair_source = b;
+      cfg.memo = memo;
+      const std::string what = std::string(pairgen::backend_name(b)) +
+                               (memo ? " memo=on" : " memo=off");
+      const SequentialResult seq = cluster_sequential(wl.ests, cfg);
+      ParallelResult single;
+      mpr::Runtime rt(1, mpr::CostModel{});
+      rt.run([&](mpr::Communicator& comm) {
+        single = cluster_parallel(comm, wl.ests, cfg);
+      });
+
+      ASSERT_EQ(seq.overlaps.size(), single.overlaps.size()) << what;
+      EXPECT_FALSE(seq.overlaps.empty()) << what;
+      for (std::size_t i = 0; i < seq.overlaps.size(); ++i) {
+        EXPECT_TRUE(fields(seq.overlaps[i]) == fields(single.overlaps[i]))
+            << what << ": overlap " << i << " differs";
+      }
+      const PaceStats& x = seq.stats;
+      const PaceStats& y = single.stats;
+      EXPECT_EQ(x.pairs_generated, y.pairs_generated) << what;
+      EXPECT_EQ(x.pairs_processed, y.pairs_processed) << what;
+      EXPECT_EQ(x.pairs_skipped, y.pairs_skipped) << what;
+      EXPECT_EQ(x.pairs_accepted, y.pairs_accepted) << what;
+      EXPECT_EQ(x.merges, y.merges) << what;
+      EXPECT_EQ(x.dp_cells, y.dp_cells) << what;
+    }
+  }
+}
+
+/// The merged registry carries the same counts the driver returns, on the
+/// single-rank path and on the master/slave path alike, and the aligner
+/// publisher attributes every aligned pair to the active kernel variant.
+TEST(Parallel, PublishedMetricsMatchReturnedStats) {
+  auto wl = test_workload();
+  const auto cfg = test_config();
+  const std::string active =
+      align::to_string(align::active_kernel());
+  for (int p : {1, 4}) {
+    PaceStats st;
+    std::mutex mu;
+    mpr::Runtime rt(p, mpr::CostModel{});
+    rt.run([&](mpr::Communicator& comm) {
+      auto res = cluster_parallel(comm, wl.ests, cfg);
+      if (comm.rank() == 0) {
+        std::lock_guard<std::mutex> lock(mu);
+        st = res.stats;
+      }
+    });
+    const auto m = rt.merged_metrics();
+    const std::string what = "p=" + std::to_string(p);
+    EXPECT_EQ(m.counter_value("pace.pairs_generated"), st.pairs_generated)
+        << what;
+    EXPECT_EQ(m.counter_value("pace.pairs_aligned"), st.pairs_processed)
+        << what;
+    EXPECT_EQ(m.counter_value("pace.pairs_skipped"), st.pairs_skipped)
+        << what;
+    EXPECT_EQ(m.counter_value("pace.pairs_accepted"), st.pairs_accepted)
+        << what;
+    EXPECT_EQ(m.counter_value("pace.merges"), st.merges) << what;
+    EXPECT_EQ(m.counter_value("pace.dp_cells"), st.dp_cells) << what;
+    EXPECT_GT(st.pairs_processed, 0u) << what;
+
+    for (const char* v : {"scalar", "sse2", "avx2"}) {
+      const std::uint64_t want =
+          v == active ? st.pairs_processed : std::uint64_t{0};
+      EXPECT_EQ(m.counter_value(std::string("kernel.variant.") + v), want)
+          << what << " variant " << v;
+    }
+    EXPECT_LE(m.counter_value("pace.memo_hits"),
+              m.counter_value("pace.memo_lookups"))
+        << what;
+    EXPECT_GT(m.gauge_value("align.arena_bytes"), 0.0) << what;
   }
 }
 

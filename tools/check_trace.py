@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Structural validator for estclust Chrome trace output.
 
-Usage: check_trace.py [--allow-lost-flows] trace.json [breakdown.txt]
+Usage: check_trace.py [--allow-lost-flows] [--pair-source gst|kmer|fm]
+                      trace.json [breakdown.txt]
 
 Checks that the trace is well-formed Chrome trace-event JSON:
   * every B (span begin) has a matching E on the same (pid, tid),
@@ -15,17 +16,21 @@ Checks that the trace is well-formed Chrome trace-event JSON:
   * the trace covers >= 2 ranks and >= 5 distinct phase span names.
 
 When a breakdown report is given, also checks it mentions the
-per-component phase names used by Table 3 of the paper.
+per-component phase names used by Table 3 of the paper. `gst_build` is
+required only for the gst pair source (the default): kmer/fm runs build
+no GST, so their reports have no such component.
 """
 
+import argparse
 import json
 import sys
 
 REQUIRED_PHASES = 5
 REQUIRED_RANKS = 2
 # Components of the paper's Table 3 runtime breakdown, as instrumented.
-BREAKDOWN_COMPONENTS = ["partitioning", "gst_build", "node_sorting",
-                        "alignment"]
+# Every pair source reports these; only the gst walk adds "gst_build".
+BREAKDOWN_COMPONENTS = ["partitioning", "node_sorting", "alignment"]
+PAIR_SOURCES = ["gst", "kmer", "fm"]
 
 
 def fail(msg):
@@ -125,25 +130,32 @@ def validate_trace(path, allow_lost_flows=False):
           f"{len(span_names)} span names: {sorted(span_names)}")
 
 
-def validate_breakdown(path):
+def validate_breakdown(path, pair_source="gst"):
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
-    missing = [c for c in BREAKDOWN_COMPONENTS if c not in text]
+    required = BREAKDOWN_COMPONENTS + \
+        (["gst_build"] if pair_source == "gst" else [])
+    missing = [c for c in required if c not in text]
     if missing:
         fail(f"breakdown report missing components: {missing}")
-    print(f"check_trace: breakdown OK: all of {BREAKDOWN_COMPONENTS} present")
+    print(f"check_trace: breakdown OK: all of {required} present")
 
 
 def main():
-    argv = sys.argv[1:]
-    allow_lost = "--allow-lost-flows" in argv
-    argv = [a for a in argv if a != "--allow-lost-flows"]
-    if not argv:
-        fail("usage: check_trace.py [--allow-lost-flows] trace.json "
-             "[breakdown.txt]")
-    validate_trace(argv[0], allow_lost_flows=allow_lost)
-    if len(argv) > 1:
-        validate_breakdown(argv[1])
+    ap = argparse.ArgumentParser(
+        description="Validate an estclust Chrome trace and, optionally, "
+                    "its --breakdown report.")
+    ap.add_argument("--allow-lost-flows", action="store_true",
+                    help="tolerate unmatched flow starts (faulted traces)")
+    ap.add_argument("--pair-source", choices=PAIR_SOURCES, default="gst",
+                    help="the run's pair source; only gst requires a "
+                         "gst_build breakdown component")
+    ap.add_argument("trace")
+    ap.add_argument("breakdown", nargs="?")
+    args = ap.parse_args()
+    validate_trace(args.trace, allow_lost_flows=args.allow_lost_flows)
+    if args.breakdown:
+        validate_breakdown(args.breakdown, args.pair_source)
     print("check_trace: PASS")
 
 

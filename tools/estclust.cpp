@@ -12,6 +12,7 @@
 //                      to stdout, deterministic JSON to the optional file)
 //   estclust eval     --clusters clusters.txt --truth truth.txt
 //   estclust splice   --in lib.fa [--psi 20] [--min-gap 25]
+//   estclust assemble --in lib.fa --out contigs.fa [cluster options]
 //
 // `cluster` writes one line per cluster listing EST names. `eval` compares
 // a clustering against a truth file (one integer gene id per line, in EST
@@ -51,7 +52,7 @@ using namespace estclust;
 
 int usage() {
   std::cerr
-      << "usage: estclust <simulate|cluster|eval|splice> [options]\n"
+      << "usage: estclust <simulate|cluster|eval|splice|assemble> [options]\n"
          "  simulate --ests N [--genes G] [--seed S] [--alt-splice P]\n"
          "           --out lib.fa [--truth truth.txt]\n"
          "  cluster  --in lib.fa --out clusters.txt [--psi 20] [--window 8]\n"
@@ -350,11 +351,6 @@ int cmd_splice(const CliArgs& args) {
 int cmd_assemble(const CliArgs& args) {
   auto in = args.get("in");
   if (!in) return usage();
-  int ranks = static_cast<int>(args.get_int("ranks", 1));
-  if (ranks < 1) {
-    std::cerr << "--ranks must be >= 1 (got " << ranks << ")\n";
-    return usage();
-  }
   bio::EstSet ests(bio::read_fasta_file(*in));
   auto cfg = cluster_config(args);
 
