@@ -12,8 +12,8 @@
 
 // The per-backend section extends the same memory-vs-time story to the
 // pluggable pair sources: for each PairSource backend it reports the
-// index footprint (GST forest vs k-mer inverted index vs FM-index), the
-// pair and DP volume, the modeled parallel run-time, and whether the
+// index footprint (GST forest vs k-mer inverted index vs sorted seeds),
+// the pair and DP volume, the modeled parallel run-time, and whether the
 // final partition matches the GST run byte-for-byte.
 
 #include <memory>
@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
     std::cout << "\n";
     print_header("Table 1b: pair-source backends at equal acceptance",
                  "Table 1's space/time axis, across GST / k-mer filter / "
-                 "FM-index pair sources");
+                 "sorted-seed (fm) pair sources");
   }
   per_backend.print(std::cout);
   if (!table.json_mode()) {

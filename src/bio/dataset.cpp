@@ -21,11 +21,4 @@ double EstSet::average_length() const {
          static_cast<double>(ests_.size());
 }
 
-std::string_view EstSet::str(StringId sid) const {
-  ESTCLUST_DCHECK(sid < num_strings());
-  EstId i = est_of(sid);
-  return is_rc(sid) ? std::string_view(rc_[i])
-                    : std::string_view(ests_[i].bases);
-}
-
 }  // namespace estclust::bio

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "bio/sequence.hpp"
+#include "util/check.hpp"
 
 namespace estclust::bio {
 
@@ -39,7 +40,13 @@ class EstSet {
   const Sequence& est(EstId i) const { return ests_[i]; }
 
   /// The string s_sid: forward EST for even sid, reverse complement for odd.
-  std::string_view str(StringId sid) const;
+  /// Inline: every index build and extension loop calls it per suffix.
+  std::string_view str(StringId sid) const {
+    ESTCLUST_DCHECK(sid < num_strings());
+    const EstId i = est_of(sid);
+    return is_rc(sid) ? std::string_view(rc_[i])
+                      : std::string_view(ests_[i].bases);
+  }
 
   /// EST that string sid derives from.
   static EstId est_of(StringId sid) { return sid / 2; }

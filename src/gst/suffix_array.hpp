@@ -7,6 +7,7 @@
 // share no construction code, so exact tree equality on arbitrary inputs
 // is strong evidence both are right. The SA path is O(N log N * L) and
 // keeps the whole order in memory — fine as an oracle, not a replacement.
+// Only tests use it; no pair source builds a suffix array.
 #pragma once
 
 #include <cstdint>

@@ -83,6 +83,9 @@ std::unique_ptr<pairgen::PairSource> node_sorting_phase(
   comm.charge(comm.cost_model().sort_op, source->construction_sort_units());
   st.t_sort = comm.clock().time() - t;
   comm.metrics().gauge("pace.t_sort", obs::MergeOp::kMax).set(st.t_sort);
+  comm.metrics()
+      .gauge("pairgen.index_bytes", obs::MergeOp::kMax)
+      .set(static_cast<double>(source->index_bytes()));
   return source;
 }
 

@@ -1,130 +1,134 @@
 #include "pairgen/fm.hpp"
 
 #include <algorithm>
+#include <numeric>
+#include <span>
 
 #include "bio/alphabet.hpp"
 #include "gst/builder.hpp"
-#include "util/check.hpp"
 
 namespace estclust::pairgen {
 
 namespace {
-constexpr std::uint32_t kOccBlock = 64;
-}
+
+/// The strings of S that can hold a seed, concatenated in the
+/// bio::PackedView layout (32 bases per word, LSB-first) with a trailing
+/// pad word, so a k-base read at any start stays inside the buffer.
+/// Non-ACGT bytes pack as 0; no kept seed covers one.
+struct PackedText {
+  std::vector<std::uint64_t> words;
+  std::vector<std::uint64_t> start;  ///< text offset of s_sid
+
+  /// s_sid[pos, pos+k) as one word, base pos in the low bits. Not
+  /// lexicographic, but one fixed encoding, which is all grouping needs:
+  /// the final record sort is a total order.
+  std::uint64_t key(const gst::SuffixOcc& o, std::uint64_t mask) const {
+    const std::uint64_t at = start[o.sid] + o.pos;
+    const std::uint64_t* w = words.data() + at / 32;
+    const unsigned shift = static_cast<unsigned>(at % 32) * 2;
+    std::uint64_t bits = w[0] >> shift;
+    if (shift != 0) bits |= w[1] << (64 - shift);
+    return bits & mask;
+  }
+};
+
+}  // namespace
 
 FmPairSource::FmPairSource(const bio::EstSet& ests,
                            std::vector<std::uint64_t> owned_buckets,
                            std::uint32_t window, std::uint32_t psi)
     : SeedPairSource(ests, std::move(owned_buckets), window, psi) {
   const std::uint32_t k = seed_len();
-  sa_ = gst::build_suffix_array(ests_, 1);
-  sa_.lcp.clear();
-  sa_.lcp.shrink_to_fit();
-  const std::uint32_t n = static_cast<std::uint32_t>(sa_.order.size());
-  construction_units_ += detail::sort_model_units(n) + n;
+  const std::uint64_t mask =
+      k == 32 ? ~std::uint64_t{0} : (std::uint64_t{1} << (2 * k)) - 1;
 
-  // BWT + per-code block boundaries in one pass over the sorted order.
-  bwt_.resize(n);
-  std::uint32_t first_count[4] = {0, 0, 0, 0};
-  std::uint32_t len1_count[4] = {0, 0, 0, 0};
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const auto& occ = sa_.order[i];
-    const auto s = ests_.str(occ.sid);
-    bwt_[i] = occ.pos > 0
-                  ? static_cast<std::uint8_t>(bio::encode_base(s[occ.pos - 1]))
-                  : static_cast<std::uint8_t>(4);
-    const int head = bio::encode_base(s[occ.pos]);
-    ESTCLUST_CHECK(head >= 0);
-    ++first_count[head];
-    if (occ.pos + 1 == s.size()) ++len1_count[head];
+  PackedText text;
+  text.start.assign(ests_.num_strings(), 0);
+  std::uint64_t text_len = 0;
+  for (bio::StringId sid = 0; sid < ests_.num_strings(); ++sid) {
+    const std::size_t n = ests_.str(sid).size();
+    if (n < k) continue;
+    text.start[sid] = text_len;
+    text_len += n;
   }
-  first_block_[0] = 0;
-  for (int c = 0; c < 4; ++c) {
-    first_block_[c + 1] = first_block_[c] + first_count[c];
-    lf_base_[c] = first_block_[c] + len1_count[c];
-  }
+  text.words.assign(text_len / 32 + 2, 0);
 
-  checkpoints_.assign((static_cast<std::size_t>(n) / kOccBlock + 1) * 4, 0);
-  std::uint32_t running[4] = {0, 0, 0, 0};
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (i % kOccBlock == 0) {
-      const std::size_t base = (i / kOccBlock) * 4;
-      for (int c = 0; c < 4; ++c) checkpoints_[base + c] = running[c];
-    }
-    if (bwt_[i] < 4) ++running[bwt_[i]];
-  }
-  if (n % kOccBlock == 0) {
-    const std::size_t base = (n / kOccBlock) * 4;
-    for (int c = 0; c < 4; ++c) checkpoints_[base + c] = running[c];
-  }
-
-  // Enumerate owned seeds in (sid, pos) order; a group is processed by
-  // its minimum occurrence, so each interval fires exactly once.
-  std::vector<gst::SuffixOcc> group;
+  // One pass per string packs it and keeps every owned all-ACGT seed
+  // start, in (sid, pos) order. As in KmerPairSource, owned-bucket seeds
+  // cover exactly the owned anchors (k >= psi >= w).
+  std::vector<gst::SuffixOcc> starts;
   for (bio::StringId sid = 0; sid < ests_.num_strings(); ++sid) {
     const auto s = ests_.str(sid);
     if (s.size() < k) continue;
-    for (std::uint32_t pos = 0; pos + k <= s.size(); ++pos) {
-      if (!owns_bucket(gst::bucket_of(s, pos, window_))) continue;
-      std::uint32_t lo = 0;
-      std::uint32_t hi = 0;
-      construction_units_ += k;
-      if (!backward_search(s, pos, &lo, &hi)) continue;
-      if (hi - lo < 2) continue;
-      gst::SuffixOcc min_occ = sa_.order[lo];
-      for (std::uint32_t r = lo + 1; r < hi; ++r) {
-        const auto& o = sa_.order[r];
-        if (o.sid < min_occ.sid ||
-            (o.sid == min_occ.sid && o.pos < min_occ.pos)) {
-          min_occ = o;
-        }
+    construction_units_ += s.size();
+    std::uint64_t at = text.start[sid];
+    std::uint32_t valid_from = 0;  // first start past the last non-ACGT byte
+    for (std::uint32_t i = 0; i < s.size(); ++i, ++at) {
+      const int code = bio::encode_base(s[i]);
+      if (code < 0) {
+        valid_from = i + 1;
+      } else {
+        text.words[at / 32] |= static_cast<std::uint64_t>(code)
+                               << (at % 32 * 2);
       }
-      if (min_occ.sid != sid || min_occ.pos != pos) continue;
-      group.assign(sa_.order.begin() + lo, sa_.order.begin() + hi);
-      std::sort(group.begin(), group.end(),
-                [](const gst::SuffixOcc& a, const gst::SuffixOcc& b) {
-                  if (a.sid != b.sid) return a.sid < b.sid;
-                  return a.pos < b.pos;
-                });
-      process_group(group);
+      if (i + 1 < k) continue;
+      const std::uint32_t pos = i + 1 - k;  // the seed ending at i
+      if (pos >= valid_from && owns_bucket(gst::bucket_of(s, pos, window_))) {
+        starts.push_back({sid, pos});
+      }
     }
+  }
+  starts_indexed_ = starts.size();
+  text_bytes_ = (text.words.size() + text.start.size()) * sizeof(std::uint64_t);
+
+  // In-place radix pass on the first six bases (American flag sort), then
+  // a comparison sort inside each digit bin: equal keys share a digit, so
+  // the result has every key's starts adjacent and in (sid, pos) order.
+  constexpr std::uint64_t kDigitMask = (1u << 12) - 1;
+  auto digit = [&](const gst::SuffixOcc& o) {
+    return static_cast<std::size_t>(text.key(o, mask) & kDigitMask);
+  };
+  std::vector<std::size_t> bin_end(kDigitMask + 2, 0);
+  for (const auto& o : starts) ++bin_end[digit(o) + 1];
+  std::partial_sum(bin_end.begin(), bin_end.end(), bin_end.begin());
+  std::vector<std::size_t> head(bin_end.begin(), bin_end.end() - 1);
+  for (std::size_t d = 0; d <= kDigitMask; ++d) {
+    while (head[d] < bin_end[d + 1]) {
+      gst::SuffixOcc o = starts[head[d]];
+      for (std::size_t od = digit(o); od != d; od = digit(o)) {
+        std::swap(o, starts[head[od]++]);
+      }
+      starts[head[d]++] = o;
+    }
+  }
+  for (std::size_t d = 0; d <= kDigitMask; ++d) {
+    std::sort(starts.begin() + bin_end[d], starts.begin() + bin_end[d + 1],
+              [&](const gst::SuffixOcc& a, const gst::SuffixOcc& b) {
+                const std::uint64_t ka = text.key(a, mask);
+                const std::uint64_t kb = text.key(b, mask);
+                if (ka != kb) return ka < kb;
+                if (a.sid != b.sid) return a.sid < b.sid;
+                return a.pos < b.pos;
+              });
+  }
+  construction_units_ += detail::sort_model_units(starts.size());
+
+  // Each run of equal keys is one seed group, already in (sid, pos) order.
+  const std::span<const gst::SuffixOcc> sorted(starts);
+  std::size_t i = 0;
+  while (i < sorted.size()) {
+    const std::uint64_t key = text.key(sorted[i], mask);
+    std::size_t j = i + 1;
+    while (j < sorted.size() && text.key(sorted[j], mask) == key) ++j;
+    if (j - i >= 2) process_group(sorted.subspan(i, j - i));
+    i = j;
   }
   finalize_records();
 }
 
-std::uint32_t FmPairSource::occ(int c, std::uint32_t i) const {
-  std::uint32_t count = checkpoints_[(i / kOccBlock) * 4 + c];
-  for (std::uint32_t j = i - i % kOccBlock; j < i; ++j) {
-    if (bwt_[j] == c) ++count;
-  }
-  return count;
-}
-
-bool FmPairSource::backward_search(std::string_view s, std::uint32_t pos,
-                                   std::uint32_t* lo,
-                                   std::uint32_t* hi) const {
-  const std::uint32_t k = seed_len();
-  int c = bio::encode_base(s[pos + k - 1]);
-  if (c < 0) return false;
-  std::uint32_t l = first_block_[c];
-  std::uint32_t r = first_block_[c + 1];
-  for (std::uint32_t q = k - 1; q-- > 0;) {
-    if (l >= r) return false;
-    c = bio::encode_base(s[pos + q]);
-    if (c < 0) return false;
-    l = lf_base_[c] + occ(c, l);
-    r = lf_base_[c] + occ(c, r);
-  }
-  if (l >= r) return false;
-  *lo = l;
-  *hi = r;
-  return true;
-}
-
 std::uint64_t FmPairSource::index_bytes() const {
-  return sa_.order.size() * sizeof(gst::SuffixOcc) + bwt_.size() +
-         checkpoints_.size() * sizeof(std::uint32_t) + sizeof(first_block_) +
-         sizeof(lf_base_) + records_.capacity() * sizeof(PromisingPair);
+  return starts_indexed_ * sizeof(gst::SuffixOcc) + text_bytes_ +
+         records_.capacity() * sizeof(PromisingPair);
 }
 
 }  // namespace estclust::pairgen

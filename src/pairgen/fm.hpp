@@ -1,25 +1,26 @@
-// FM-index pair source.
+// Owned-suffix sorted-seed pair source (CLI name `fm`).
 //
-// Kaniwa-style index alternative to the suffix tree (PAPERS.md): a BWT +
-// checkpointed occ-table over the 2-bit-coded text of all strings (built
-// from the multi-string suffix array of gst::build_suffix_array), with
-// backward search resolving each owned seed to its suffix-array interval.
-// An interval of size >= 2 is a seed group — the same group the k-mer
-// index forms, processed once when the querying occurrence is the
-// (sid, pos)-minimum of its interval — so the record stream is identical
-// to KmerPairSource's by construction, and both match the GST walk's
-// per-anchor granularity via the shared leftmost-seed extension.
+// The §3.1 partition applied to a suffix-sorted index: each rank collects
+// only the seed starts (sid, pos) whose w-prefix bucket it owns — 8 B per
+// start, no whole-text suffix array — and sorts them by the k-base seed
+// they begin, read on the fly from a 2-bit-packed copy of S. Equal seeds
+// sit next to each other after the sort, so each run of equal keys is one
+// seed group, already in (sid, pos) order, handed to SeedPairSource's
+// shared extension. The groups and therefore the record stream are those
+// of KmerPairSource; the two differ in the index held during construction
+// (an 8 B start here, a 16 B key + start entry there). The name `fm` is
+// historical (an earlier whole-text FM-index backend) and stays because
+// the CLI, the goldens and the benchmark legs use it.
 //
-// The suffix array is retained as the locate structure (interval rank ->
-// (sid, pos)), which dominates index_bytes; a sampled-SA variant would
-// shrink it at extra locate cost.
+// Like the k-mer index, a seed is k = min(psi, 32) bases and must be all
+// ACGT. The packed text lives only for the duration of the constructor;
+// index_bytes() reports the peak of the starts and the packed text plus
+// the records.
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
-#include "gst/suffix_array.hpp"
 #include "pairgen/seed_match.hpp"
 
 namespace estclust::pairgen {
@@ -35,23 +36,8 @@ class FmPairSource final : public SeedPairSource {
   std::uint64_t index_bytes() const override;
 
  private:
-  /// Occurrences of code c in bwt_[0, i).
-  std::uint32_t occ(int c, std::uint32_t i) const;
-
-  /// Backward search of s[pos, pos+k); returns false for an empty
-  /// interval, else [*lo, *hi) over sa_.order.
-  bool backward_search(std::string_view s, std::uint32_t pos,
-                       std::uint32_t* lo, std::uint32_t* hi) const;
-
-  gst::SuffixArray sa_;
-  std::vector<std::uint8_t> bwt_;  ///< predecessor codes; 4 = string start
-  // first_block_[c] = first rank whose suffix starts with code c;
-  // lf_base_[c] additionally skips the length-1 suffixes "c", which sit
-  // at the bottom of c's block (prefix-first order) but are never images
-  // of the LF mapping over a no-empty-suffix array.
-  std::uint32_t first_block_[5] = {0, 0, 0, 0, 0};
-  std::uint32_t lf_base_[4] = {0, 0, 0, 0};
-  std::vector<std::uint32_t> checkpoints_;  ///< per-64-rank occ counts × 4
+  std::uint64_t starts_indexed_ = 0;  ///< owned seed starts sorted
+  std::uint64_t text_bytes_ = 0;      ///< packed S plus its string offsets
 };
 
 }  // namespace estclust::pairgen

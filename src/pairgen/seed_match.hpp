@@ -1,14 +1,15 @@
 // Shared seed-and-extend machinery for the non-GST pair sources.
 //
-// The k-mer and FM-index backends both reduce promising-pair discovery to
-// the same primitive: group every owned occurrence of a length-k seed,
-// then extend each occurrence pair maximally left and right. A pair is
-// recorded only by the group whose seed sits at the *start* of the maximal
-// match (leftmost-seed rule), so each maximal common substring yields
-// exactly one record per occurrence pair — the same per-anchor granularity
-// as the GST walk. Because k >= psi >= w, a seed at the match start shares
-// the anchor's w-prefix, so restricting seeds to this rank's §3.1 buckets
-// is closed under grouping: a group never mixes owned and foreign anchors.
+// The k-mer and sorted-seed (fm) backends both reduce promising-pair
+// discovery to the same primitive: group every owned occurrence of a
+// length-k seed, then extend each occurrence pair maximally left and
+// right. A pair is recorded only by the group whose seed sits at the
+// *start* of the maximal match (leftmost-seed rule), so each maximal
+// common substring yields exactly one record per occurrence pair — the
+// same per-anchor granularity as the GST walk. Because k >= psi >= w, a
+// seed at the match start shares the anchor's w-prefix, so restricting
+// seeds to this rank's §3.1 buckets is closed under grouping: a group
+// never mixes owned and foreign anchors.
 //
 // SeedPairSource owns record materialization, the decreasing-match-length
 // final order, batch serving and GenStats accounting; the backends only

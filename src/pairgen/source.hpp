@@ -1,9 +1,9 @@
 // Pluggable promising-pair backends behind one streaming interface.
 //
 // The paper's GST walk (generator.hpp) is one way to produce the §3.2
-// promising-pair stream; a k-mer inverted index (kmer.hpp) and an FM-index
-// (fm.hpp) are two more. Every backend honours the same contract
-// (DESIGN.md §11):
+// promising-pair stream; a k-mer inverted index (kmer.hpp) and a sorted
+// array of owned seed starts (fm.hpp) are two more. Every backend honours
+// the same contract (DESIGN.md §11):
 //
 //   * pairs stream out in decreasing maximal-common-substring length,
 //     duplicate-free, invariant under next_batch batch sizes;
@@ -57,7 +57,7 @@ struct GenStats {
 enum class Backend : std::uint8_t {
   kGst = 0,   ///< distributed GST node walk (the paper's Algorithm 1)
   kKmer = 1,  ///< 2-bit-packed k-mer inverted index, shared-seed extension
-  kFm = 2,    ///< FM-index (BWT/occ) backward-search seed matching
+  kFm = 2,    ///< owned seed starts sorted over packed text (name kept)
 };
 
 /// "gst" | "kmer" | "fm".

@@ -299,11 +299,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PairgenFuzz,
                          testing::Range<std::uint64_t>(600, 625));
 
 /// Differential fuzzing across PairSource backends: the k-mer filter and
-/// the FM-index must agree with each other record-for-record, and with
-/// the GST generator at the granularity the drivers consume (EST pairs,
-/// stream order, anchor maximality). The GST walk may merge two identical
-/// maximal substrings into one emission (per-node duplicate elimination),
-/// so at the record level GST ⊆ seed backends rather than equality.
+/// the sorted-seed index (fm) must agree with each other
+/// record-for-record, and with the GST generator at the granularity the
+/// clustering consumes (EST pairs, stream order, anchor maximality). The GST
+/// walk may merge two identical maximal substrings into one emission
+/// (per-node duplicate elimination), so at the record level GST ⊆ seed
+/// backends rather than equality.
 class PairSourceFuzz : public testing::TestWithParam<std::uint64_t> {};
 
 using PairRecord = std::tuple<bio::EstId, bio::EstId, bool, std::uint32_t,
@@ -321,35 +322,40 @@ std::vector<PairRecord> drain_records(pairgen::PairSource& gen) {
   return out;
 }
 
-TEST_P(PairSourceFuzz, BackendsAgreeOnRandomDatasets) {
-  const std::uint64_t seed = fuzz_seed(GetParam());
-  SCOPED_TRACE(seed_trace(seed));
-  Prng rng(seed);
-  std::string gene = random_dna(rng, 120 + rng.uniform(120));
+/// A small random library: unrelated reads, copies of earlier reads and
+/// substrings of one gene in either orientation. `extra` lengthens every
+/// read and the gene; 0 gives reads of 40-70 bases.
+std::vector<bio::Sequence> random_library(Prng& rng, std::size_t extra) {
+  std::string gene = random_dna(rng, 120 + 2 * extra + rng.uniform(120));
   std::vector<bio::Sequence> seqs;
   const std::size_t n = 4 + rng.uniform(8);
   for (std::size_t i = 0; i < n; ++i) {
     std::string s;
     switch (rng.uniform(4)) {
       case 0:
-        s = random_dna(rng, 40 + rng.uniform(30));
+        s = random_dna(rng, 40 + extra + rng.uniform(30));
         break;
       case 1:  // duplicate an earlier EST now and then
-        s = seqs.empty() ? random_dna(rng, 45)
+        s = seqs.empty() ? random_dna(rng, 45 + extra)
                          : seqs[rng.uniform(seqs.size())].bases;
         break;
       default: {
-        std::size_t start = rng.uniform(gene.size() - 55);
-        s = gene.substr(start, 40 + rng.uniform(15));
+        std::size_t start = rng.uniform(gene.size() - 55 - extra);
+        s = gene.substr(start, 40 + extra + rng.uniform(15));
         if (rng.bernoulli(0.5)) s = bio::reverse_complement(s);
         break;
       }
     }
     seqs.push_back({"e" + std::to_string(i), s});
   }
-  bio::EstSet ests(std::move(seqs));
-  const std::uint32_t w = 4;
-  const std::uint32_t psi = 12 + static_cast<std::uint32_t>(rng.uniform(8));
+  return seqs;
+}
+
+/// Runs all three backends over `ests` and checks the differential
+/// contract. Returns the number of seed-backend records.
+std::size_t expect_backends_agree(const bio::EstSet& ests, std::uint32_t w,
+                                  std::uint32_t psi) {
+  SCOPED_TRACE("w " + std::to_string(w) + " psi " + std::to_string(psi));
   auto forest = gst::build_forest_sequential(ests, w);
 
   auto gst_gen =
@@ -393,10 +399,50 @@ TEST_P(PairSourceFuzz, BackendsAgreeOnRandomDatasets) {
     kmer_pairs.insert({std::get<0>(r), std::get<1>(r)});
   }
   EXPECT_EQ(gst_pairs, kmer_pairs);
+  return kmer_records.size();
+}
+
+TEST_P(PairSourceFuzz, BackendsAgreeOnRandomDatasets) {
+  const std::uint64_t seed = fuzz_seed(GetParam());
+  SCOPED_TRACE(seed_trace(seed));
+  Prng rng(seed);
+  bio::EstSet ests(random_library(rng, 0));
+  const std::uint32_t psi = 12 + static_cast<std::uint32_t>(rng.uniform(8));
+  expect_backends_agree(ests, 4, psi);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PairSourceFuzz,
                          testing::Range<std::uint64_t>(800, 830));
+
+/// The same differential around the 32-base seed cap, k = min(psi, 32):
+/// psi 31 packs a 62-bit key, psi 32 a full 64-bit word (a start on a
+/// packed-word boundary reads one word, unshifted, under an all-ones
+/// mask), and psi 33 and 40 extend matches past a capped seed. Longer
+/// reads keep matches of these lengths common; one appended read shares a
+/// >= 75-base substring with the first, so every case has records.
+class PairSourceSeedCapFuzz
+    : public testing::TestWithParam<std::tuple<std::uint32_t, std::uint64_t>> {
+};
+
+TEST_P(PairSourceSeedCapFuzz, BackendsAgreeAtSeedCap) {
+  const auto [psi, base] = GetParam();
+  const std::uint64_t seed = fuzz_seed(base);
+  SCOPED_TRACE(seed_trace(seed));
+  Prng rng(seed);
+  auto seqs = random_library(rng, 40);
+  seqs.push_back({"overlap", seqs.front().bases.substr(5)});
+  bio::EstSet ests(std::move(seqs));
+  EXPECT_GT(expect_backends_agree(ests, 4, psi), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedCap, PairSourceSeedCapFuzz,
+    testing::Combine(testing::Values(31u, 32u, 33u, 40u),
+                     testing::Range<std::uint64_t>(850, 860)),
+    [](const testing::TestParamInfo<PairSourceSeedCapFuzz::ParamType>& info) {
+      return "psi" + std::to_string(std::get<0>(info.param)) + "_" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 class QualityFuzz : public testing::TestWithParam<std::uint64_t> {};
 

@@ -615,6 +615,31 @@ TEST(Parallel, PublishedMetricsMatchReturnedStats) {
   }
 }
 
+/// Each rank indexes only its §3.1 share: the largest per-rank pair-source
+/// index at p=4 (three slaves) is well below the one-rank index, for every
+/// backend. A backend that builds a whole-text structure on every rank
+/// stays near 1× and fails.
+TEST(Parallel, PairSourceIndexIsPartitionedAcrossRanks) {
+  auto wl = test_workload();
+  for (pairgen::Backend backend : pairgen::kAllBackends) {
+    auto cfg = test_config();
+    cfg.pair_source = backend;
+    auto index_bytes_at = [&](int p) {
+      mpr::Runtime rt(p, mpr::CostModel{});
+      rt.run([&](mpr::Communicator& comm) {
+        cluster_parallel(comm, wl.ests, cfg);
+      });
+      return rt.merged_metrics().gauge_value("pairgen.index_bytes");
+    };
+    const double p1 = index_bytes_at(1);
+    const double p4 = index_bytes_at(4);
+    const std::string what(pairgen::backend_name(backend));
+    EXPECT_GT(p1, 0.0) << what;
+    EXPECT_LE(p4, 0.6 * p1) << what << ": p=1 " << p1 << " B, p=4 " << p4
+                            << " B";
+  }
+}
+
 TEST(Parallel, VirtualTimeDecreasesWithMoreRanks) {
   // The headline claim: run-times scale with the number of processors.
   auto wl = test_workload(200, 31);

@@ -57,6 +57,11 @@ REQUIRED_TESTS = (
     "bench_smoke_gst",
     "bench_smoke_kmer",
     "bench_smoke_fm",
+    # Per-rank index partitioning and the 32-base seed-cap differential:
+    # without them a backend could index the whole text on every rank,
+    # or mis-pack full-word seeds, and still pass the goldens.
+    "Parallel.PairSourceIndexIsPartitionedAcrossRanks",
+    "SeedCap/PairSourceSeedCapFuzz.BackendsAgreeAtSeedCap/psi32_850",
     # SIMD kernel gates: the wall-clock speedup floor and the forced-scalar
     # golden leg must both stay registered, or a dispatch regression could
     # hide behind whatever kernel the build host happens to pick.

@@ -58,7 +58,7 @@ int usage() {
          "  cluster  --in lib.fa --out clusters.txt [--psi 20] [--window 8]\n"
          "           [--min-quality 0.8] [--min-overlap 40] [--ranks P]\n"
          "           [--pair-source gst|kmer|fm]  (candidate filter: GST\n"
-         "            walk, k-mer inverted index, or FM-index; clusters\n"
+         "            walk, k-mer inverted index, or sorted seeds; clusters\n"
          "            are identical across backends)\n"
          "           [--trace trace.json] [--breakdown report.txt]\n"
          "           [--profile[=prof.json]] [--metrics]\n"
