@@ -34,81 +34,105 @@ void collect_suffixes(const bio::EstSet& ests, bio::StringId sid_begin,
 
 namespace {
 
-/// Recursive refinement of one suffix group that shares its first `d`
-/// characters. Emits the group's subtree into `tree` in DFS order.
+/// Recursive refinement of one bucket's suffixes, emitting its subtree
+/// into `tree` in DFS order. Every suffix group is a range [lo, hi) of one
+/// buffer whose suffixes share their first `d` characters; a branching
+/// node partitions its range in place ($ group first, then A, C, G, T) by
+/// a stable counting sort through one scratch buffer of the same size, so
+/// no node allocates and each class keeps its (sid, pos) input order.
 class BucketRefiner {
  public:
-  BucketRefiner(const bio::EstSet& ests, Tree& tree, BuildCounters& counters)
-      : ests_(ests), tree_(tree), counters_(counters) {}
+  BucketRefiner(const bio::EstSet& ests, Tree& tree, BuildCounters& counters,
+                std::vector<SuffixOcc>& group)
+      : ests_(ests),
+        tree_(tree),
+        counters_(counters),
+        group_(group),
+        scratch_(group.size()) {}
 
-  void build(std::vector<SuffixOcc>& group, std::uint32_t d) {
-    ESTCLUST_DCHECK(!group.empty());
-    if (group.size() == 1) {
-      emit_singleton_leaf(group[0]);
+  void build(std::size_t lo, std::size_t hi, std::uint32_t d) {
+    ESTCLUST_DCHECK(lo < hi);
+    if (hi - lo == 1) {
+      emit_singleton_leaf(group_[lo]);
       return;
     }
 
     // Extend the edge (compaction) while all suffixes continue with the
-    // same character. Each pass scans the group once.
-    std::array<std::uint32_t, bio::kSigma> class_size{};
-    std::uint32_t exhausted = 0;
-    for (;;) {
-      class_size.fill(0);
-      exhausted = 0;
-      for (const SuffixOcc& occ : group) {
-        auto s = ests_.str(occ.sid);
-        if (occ.pos + d == s.size()) {
-          ++exhausted;
-        } else {
-          ++class_size[static_cast<std::size_t>(
-              bio::encode_base(s[occ.pos + d]))];
-        }
-      }
-      counters_.chars_scanned += group.size();
-      int nonempty = 0;
-      for (auto c : class_size) nonempty += (c > 0);
-      if (exhausted == 0 && nonempty == 1) {
-        ++d;  // unary extension: no node here
-        continue;
-      }
-      if (nonempty == 0) {
-        // All suffixes end at depth d: identical strings -> one leaf.
-        emit_coalesced_leaf(group, d);
-        return;
-      }
-      break;  // group branches at depth d
+    // same character: the common extension of every suffix with the
+    // group's first, found by one forward scan per suffix. The charge is
+    // one character step per suffix per depth examined, as if the group
+    // were scanned once per depth.
+    const std::uint32_t ext = common_extension(lo, hi, d);
+    counters_.chars_scanned += (std::uint64_t{ext} + 1) * (hi - lo);
+    d += ext;
+
+    // Class sizes at the branching depth d (kSigma counts the $ group).
+    std::array<std::size_t, bio::kSigma + 1> start{};
+    for (std::size_t i = lo; i < hi; ++i) ++start[class_at(group_[i], d)];
+    if (start[bio::kSigma] == hi - lo) {
+      // All suffixes end at depth d: identical strings -> one leaf.
+      emit_coalesced_leaf(lo, hi, d);
+      return;
     }
 
     // Internal node at depth d. Children in canonical order: the $-leaf of
     // exhausted suffixes first, then the A, C, G, T classes.
     const std::uint32_t v = new_node(d);
-    std::array<std::vector<SuffixOcc>, bio::kSigma> classes;
-    std::vector<SuffixOcc> done;
-    done.reserve(exhausted);
-    for (int c = 0; c < bio::kSigma; ++c)
-      classes[static_cast<std::size_t>(c)].reserve(
-          class_size[static_cast<std::size_t>(c)]);
-    for (const SuffixOcc& occ : group) {
-      auto s = ests_.str(occ.sid);
-      if (occ.pos + d == s.size()) {
-        done.push_back(occ);
-      } else {
-        classes[static_cast<std::size_t>(bio::encode_base(s[occ.pos + d]))]
-            .push_back(occ);
-      }
+    constexpr std::array<std::size_t, bio::kSigma + 1> kChildOrder = {
+        bio::kSigma, 0, 1, 2, 3};
+    std::array<std::size_t, bio::kSigma + 1> end{};
+    std::size_t at = lo;
+    for (std::size_t c : kChildOrder) {
+      const std::size_t n = start[c];
+      start[c] = end[c] = at;
+      at += n;
     }
-    group.clear();
-    group.shrink_to_fit();
+    for (std::size_t i = lo; i < hi; ++i) {
+      scratch_[end[class_at(group_[i], d)]++] = group_[i];
+    }
+    std::copy(scratch_.begin() + static_cast<std::ptrdiff_t>(lo),
+              scratch_.begin() + static_cast<std::ptrdiff_t>(hi),
+              group_.begin() + static_cast<std::ptrdiff_t>(lo));
 
-    if (!done.empty()) emit_coalesced_leaf(done, d);
-    for (auto& cls : classes) {
-      if (!cls.empty()) build(cls, d + 1);
+    if (start[bio::kSigma] != end[bio::kSigma]) {
+      emit_coalesced_leaf(start[bio::kSigma], end[bio::kSigma], d);
+    }
+    for (int c = 0; c < bio::kSigma; ++c) {
+      const auto k = static_cast<std::size_t>(c);
+      if (start[k] != end[k]) build(start[k], end[k], d + 1);
     }
     tree_.nodes[v].rightmost =
         static_cast<std::uint32_t>(tree_.nodes.size()) - 1;
   }
 
  private:
+  /// Character class of `occ` at depth d: the base code, or kSigma for
+  /// the $ of a suffix that ends there.
+  std::size_t class_at(const SuffixOcc& occ, std::uint32_t d) const {
+    const auto s = ests_.str(occ.sid);
+    if (occ.pos + d == s.size()) return bio::kSigma;
+    return static_cast<std::size_t>(bio::encode_base(s[occ.pos + d]));
+  }
+
+  /// Largest e such that every suffix of [lo, hi) has at least d + e
+  /// characters and agrees with the first one on [d, d + e). Compares
+  /// base codes, so case never splits a class.
+  std::uint32_t common_extension(std::size_t lo, std::size_t hi,
+                                 std::uint32_t d) const {
+    const auto first = ests_.str(group_[lo].sid).substr(group_[lo].pos + d);
+    std::size_t ext = first.size();
+    for (std::size_t i = lo + 1; i < hi && ext > 0; ++i) {
+      const auto s = ests_.str(group_[i].sid).substr(group_[i].pos + d);
+      const std::size_t n = std::min(ext, s.size());
+      std::size_t e = 0;
+      while (e < n && bio::encode_base(s[e]) == bio::encode_base(first[e])) {
+        ++e;
+      }
+      ext = e;
+    }
+    return static_cast<std::uint32_t>(ext);
+  }
+
   std::uint32_t new_node(std::uint32_t depth) {
     Node n;
     n.depth = depth;
@@ -127,18 +151,21 @@ class BucketRefiner {
     tree_.nodes[v].occ_end = static_cast<std::uint32_t>(tree_.occs.size());
   }
 
-  void emit_coalesced_leaf(const std::vector<SuffixOcc>& group,
-                           std::uint32_t d) {
+  void emit_coalesced_leaf(std::size_t lo, std::size_t hi, std::uint32_t d) {
     const std::uint32_t v = new_node(d);
     tree_.nodes[v].rightmost = v;
     tree_.nodes[v].occ_begin = static_cast<std::uint32_t>(tree_.occs.size());
-    tree_.occs.insert(tree_.occs.end(), group.begin(), group.end());
+    tree_.occs.insert(tree_.occs.end(),
+                      group_.begin() + static_cast<std::ptrdiff_t>(lo),
+                      group_.begin() + static_cast<std::ptrdiff_t>(hi));
     tree_.nodes[v].occ_end = static_cast<std::uint32_t>(tree_.occs.size());
   }
 
   const bio::EstSet& ests_;
   Tree& tree_;
   BuildCounters& counters_;
+  std::vector<SuffixOcc>& group_;
+  std::vector<SuffixOcc> scratch_;
 };
 
 }  // namespace
@@ -148,11 +175,14 @@ Tree build_bucket_tree(const bio::EstSet& ests,
                        std::uint64_t bucket_id, BuildCounters& counters) {
   ESTCLUST_CHECK(!suffixes.empty());
   // Canonical input order => identical trees regardless of how suffixes
-  // arrived (sequential scan or all-to-all exchange).
-  std::sort(suffixes.begin(), suffixes.end(),
-            [](const SuffixOcc& a, const SuffixOcc& b) {
-              return a.sid != b.sid ? a.sid < b.sid : a.pos < b.pos;
-            });
+  // arrived (sequential scan or all-to-all exchange). Both drivers already
+  // hand over (sid, pos) order, so the sort is only a fallback.
+  const auto by_sid_pos = [](const SuffixOcc& a, const SuffixOcc& b) {
+    return a.sid != b.sid ? a.sid < b.sid : a.pos < b.pos;
+  };
+  if (!std::is_sorted(suffixes.begin(), suffixes.end(), by_sid_pos)) {
+    std::sort(suffixes.begin(), suffixes.end(), by_sid_pos);
+  }
   counters.suffixes += suffixes.size();
 
   Tree tree;
@@ -160,8 +190,8 @@ Tree build_bucket_tree(const bio::EstSet& ests,
   tree.prefix_depth = w;
   tree.nodes.reserve(2 * suffixes.size());
   tree.occs.reserve(suffixes.size());
-  BucketRefiner refiner(ests, tree, counters);
-  refiner.build(suffixes, w);
+  BucketRefiner refiner(ests, tree, counters, suffixes);
+  refiner.build(0, suffixes.size(), w);
   tree.nodes.shrink_to_fit();
   tree.occs.shrink_to_fit();
   return tree;
@@ -170,26 +200,39 @@ Tree build_bucket_tree(const bio::EstSet& ests,
 std::vector<Tree> build_forest_sequential(const bio::EstSet& ests,
                                           std::uint32_t w,
                                           BuildCounters* counters) {
-  std::vector<BucketedSuffix> all;
-  collect_suffixes(ests, 0, static_cast<bio::StringId>(ests.num_strings()), w,
-                   all);
-  std::sort(all.begin(), all.end(),
-            [](const BucketedSuffix& a, const BucketedSuffix& b) {
-              return a.bucket < b.bucket;
-            });
+  // Group suffixes by bucket with one stable counting pass over the 4^w
+  // buckets: each bucket's run stays in (sid, pos) scan order. at[b] is
+  // bucket b's count, then its start, then (after the scatter) its end.
+  const auto num_sids = static_cast<bio::StringId>(ests.num_strings());
+  std::vector<std::uint64_t> at(num_buckets(w), 0);
+  for_each_bucketed_suffix(
+      ests, 0, num_sids, w,
+      [&](std::uint64_t bucket, const SuffixOcc&) { ++at[bucket]; });
+  std::uint64_t total = 0;
+  for (auto& a : at) {
+    const std::uint64_t n = a;
+    a = total;
+    total += n;
+  }
+  std::vector<SuffixOcc> grouped(total);
+  for_each_bucketed_suffix(ests, 0, num_sids, w,
+                           [&](std::uint64_t bucket, const SuffixOcc& occ) {
+                             grouped[at[bucket]++] = occ;
+                           });
+
   BuildCounters local;
   BuildCounters& c = counters ? *counters : local;
   std::vector<Tree> forest;
-  std::size_t i = 0;
-  while (i < all.size()) {
-    std::size_t j = i;
-    while (j < all.size() && all[j].bucket == all[i].bucket) ++j;
-    std::vector<SuffixOcc> bucket;
-    bucket.reserve(j - i);
-    for (std::size_t k = i; k < j; ++k) bucket.push_back(all[k].occ);
-    forest.push_back(
-        build_bucket_tree(ests, std::move(bucket), w, all[i].bucket, c));
-    i = j;
+  std::uint64_t begin = 0;
+  for (std::uint64_t b = 0; b < at.size(); ++b) {
+    if (at[b] == begin) continue;
+    forest.push_back(build_bucket_tree(
+        ests,
+        std::vector<SuffixOcc>(
+            grouped.begin() + static_cast<std::ptrdiff_t>(begin),
+            grouped.begin() + static_cast<std::ptrdiff_t>(at[b])),
+        w, b, c));
+    begin = at[b];
   }
   return forest;
 }

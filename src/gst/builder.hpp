@@ -67,8 +67,9 @@ void collect_suffixes(const bio::EstSet& ests, bio::StringId sid_begin,
                       std::vector<BucketedSuffix>& out);
 
 /// Builds the subtree for one bucket. `suffixes` must all share the same
-/// length-w prefix; they are canonically sorted by (sid, pos) internally so
-/// the resulting tree is independent of input order.
+/// length-w prefix; they are put in canonical (sid, pos) order internally
+/// (no sort when they already are) so the resulting tree is independent
+/// of input order.
 Tree build_bucket_tree(const bio::EstSet& ests,
                        std::vector<SuffixOcc> suffixes, std::uint32_t w,
                        std::uint64_t bucket_id, BuildCounters& counters);

@@ -1,10 +1,22 @@
 #include "gst/tree.hpp"
 
+#include <algorithm>
 #include <string>
 
 #include "bio/alphabet.hpp"
 
 namespace estclust::gst {
+
+namespace {
+/// Equal as bases: the builder classifies by base code, so an upper- and
+/// a lower-case spelling of one base share a branch.
+bool same_bases(std::string_view a, std::string_view b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](char x, char y) {
+                      return bio::encode_base(x) == bio::encode_base(y);
+                    });
+}
+}  // namespace
 
 std::uint32_t Tree::num_leaves(std::uint32_t v) const {
   std::uint32_t count = 0;
@@ -46,7 +58,7 @@ void Tree::validate(const bio::EstSet& ests) const {
       ESTCLUST_CHECK(node.occ_begin < node.occ_end);
       ESTCLUST_CHECK(node.occ_end <= occs.size());
       total_occs += node.occ_end - node.occ_begin;
-      // Every occurrence of a leaf must be the exact same string of length
+      // Every occurrence of a leaf must be the same base string of length
       // `depth` (identical suffixes coalesce) and must run to string end.
       const SuffixOcc& first = occs[node.occ_begin];
       auto ref = ests.str(first.sid).substr(first.pos, node.depth);
@@ -54,7 +66,7 @@ void Tree::validate(const bio::EstSet& ests) const {
         const SuffixOcc& occ = occs[k];
         auto s = ests.str(occ.sid);
         ESTCLUST_CHECK(occ.pos + node.depth == s.size());
-        ESTCLUST_CHECK(s.substr(occ.pos, node.depth) == ref);
+        ESTCLUST_CHECK(same_bases(s.substr(occ.pos, node.depth), ref));
       }
     } else {
       // Children partition the subtree; each child's depth exceeds the
@@ -84,7 +96,7 @@ void Tree::validate(const bio::EstSet& ests) const {
         for (const auto& occ : occurrences(u)) {
           auto s = ests.str(occ.sid);
           ESTCLUST_CHECK(occ.pos + node.depth <= s.size());
-          ESTCLUST_CHECK(s.substr(occ.pos, node.depth) == label);
+          ESTCLUST_CHECK(same_bases(s.substr(occ.pos, node.depth), label));
         }
       }
     }

@@ -25,39 +25,67 @@ PairGenerator::PairGenerator(const bio::EstSet& ests,
         "psi must be >= the GST bucket window w (suffixes shorter than w "
         "were dropped)");
   }
-  // Collect nodes of string-depth >= psi. Sorting puts deeper nodes first;
-  // within equal depth, higher node index first so that a $-leaf (which
-  // ties its parent's depth) is processed before its parent.
-  remaining_.assign(forest_.size(), 0);
+  // One pass numbers the nodes globally, builds the depth histogram of
+  // the nodes to process and marks the orphans: processed nodes whose
+  // parent never is (bucket roots and children of internal nodes shallower
+  // than psi). Their lsets are released right after they are processed.
+  node_base_.reserve(forest_.size());
+  std::uint64_t total = 0;
+  for (const auto& t : forest_) {
+    node_base_.push_back(static_cast<std::uint32_t>(total));
+    total += t.size();
+  }
+  ESTCLUST_CHECK_MSG(total < kLoneLeaf, "forest too large for 32-bit slots");
+  slot_of_.assign(total, kNoSlot);
+  std::vector<std::uint32_t> at_depth;  // at_depth[d - psi]: nodes of depth d
   for (std::uint32_t t = 0; t < forest_.size(); ++t) {
-    for (std::uint32_t v = 0; v < forest_[t].size(); ++v) {
-      if (forest_[t].depth(v) >= psi_) {
-        order_.push_back({t, v});
-        ++remaining_[t];
+    const gst::Tree& tree = forest_[t];
+    if (tree.empty()) continue;
+    std::uint32_t* slot_of = slot_of_.data() + node_base_[t];
+    slot_of[0] = kOrphan;
+    for (std::uint32_t v = 0; v < tree.size(); ++v) {
+      const std::uint32_t d = tree.depth(v);
+      if (d >= psi_) {
+        if (d - psi_ >= at_depth.size()) at_depth.resize(d - psi_ + 1, 0);
+        ++at_depth[d - psi_];
+      } else {
+        tree.for_each_child(v, [&](std::uint32_t u) { slot_of[u] = kOrphan; });
       }
     }
   }
-  std::sort(order_.begin(), order_.end(),
-            [&](const NodeRef& x, const NodeRef& y) {
-              std::uint32_t dx = forest_[x.tree].depth(x.node);
-              std::uint32_t dy = forest_[y.tree].depth(y.node);
-              if (dx != dy) return dx > dy;
-              if (x.tree != y.tree) return x.tree < y.tree;
-              return x.node > y.node;
-            });
-  lsets_.resize(forest_.size());
+  // Stable counting sort on descending depth: trees ascending, nodes
+  // descending within a tree, so equal depths keep (tree asc, node desc)
+  // and a $-leaf (which ties its parent's depth) precedes its parent.
+  std::uint32_t next = 0;
+  for (std::size_t i = at_depth.size(); i-- > 0;) {
+    const std::uint32_t n = at_depth[i];
+    at_depth[i] = next;
+    next += n;
+  }
+  order_.resize(next);
+  for (std::uint32_t t = 0; t < forest_.size(); ++t) {
+    const gst::Tree& tree = forest_[t];
+    for (std::uint32_t v = tree.size(); v-- > 0;) {
+      const std::uint32_t d = tree.depth(v);
+      if (d >= psi_) order_[at_depth[d - psi_]++] = {t, v};
+    }
+  }
   mark_.assign(ests_.num_strings(), 0);
 }
 
-NodeLsets& PairGenerator::lsets_of(std::uint32_t tree_idx,
-                                   std::uint32_t node) {
-  auto& per_tree = lsets_[tree_idx];
-  if (per_tree.empty()) per_tree.resize(forest_[tree_idx].size());
-  return per_tree[node];
+std::uint32_t PairGenerator::take_slot() {
+  if (free_slots_.empty()) {
+    slots_.emplace_back();
+    return static_cast<std::uint32_t>(slots_.size() - 1);
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  return slot;
 }
 
-void PairGenerator::release_lsets(NodeLsets& lsets) {
-  for (auto& set : lsets) pool_.release(set);
+void PairGenerator::return_slot(std::uint32_t slot) {
+  for (auto& set : slots_[slot]) pool_.release(set);
+  free_slots_.push_back(slot);
 }
 
 bool PairGenerator::exhausted() const {
@@ -84,24 +112,58 @@ std::size_t PairGenerator::next_batch(std::size_t max_pairs,
 }
 
 void PairGenerator::process_next_node() {
+  // The depth-major walk changes tree at almost every step, so each node's
+  // records are cold. order_ is known in advance: prefetch in stages, each
+  // reading only addresses an earlier stage brought in — the tree header,
+  // then the node record and its slot entry, then the occurrence of the
+  // node's last leaf (a leaf's own; an internal node's lone-leaf children
+  // sit just before it). Kept in this body: GCC drops calls to a helper
+  // or lambda that only prefetches.
+  const std::size_t i = next_node_;
+  const std::size_t n = order_.size();
+  if (i + 16 < n) __builtin_prefetch(&forest_[order_[i + 16].tree]);
+  if (i + 8 < n) {
+    const NodeRef r = order_[i + 8];
+    __builtin_prefetch(forest_[r.tree].nodes.data() + r.node);
+    __builtin_prefetch(slot_of_.data() + node_base_[r.tree] + r.node);
+  }
+  if (i + 4 < n) {
+    const NodeRef r = order_[i + 4];
+    const gst::Tree& t = forest_[r.tree];
+    __builtin_prefetch(t.occs.data() +
+                       t.nodes[t.nodes[r.node].rightmost].occ_begin);
+  }
+
   const NodeRef ref = order_[next_node_++];
   const gst::Tree& t = forest_[ref.tree];
-  NodeLsets& lsets = lsets_of(ref.tree, ref.node);
+  std::uint32_t& mapped = slot_of_[node_base_[ref.tree] + ref.node];
+  const gst::Node& node = t.nodes[ref.node];
+  if (t.is_leaf(ref.node) && node.occ_end - node.occ_begin == 1) {
+    // A one-occurrence leaf emits nothing. Its single lset entry is built
+    // only when the parent splices it (process_internal), so it holds no
+    // slot meanwhile; the work is counted now, as process_leaf would.
+    ++work_since_take_;
+    ++stats_.lset_work;
+    ++stats_.nodes_processed;
+    if (mapped != kOrphan) mapped = kLoneLeaf;
+    return;
+  }
+  const std::uint32_t slot = take_slot();
+  NodeLsets& lsets = slots_[slot];
   if (t.is_leaf(ref.node)) {
     process_leaf(t, ref.node, lsets);
   } else {
     process_internal(t, ref.tree, ref.node, lsets);
   }
   ++stats_.nodes_processed;
-  // Surviving lsets are only needed by ancestors of depth >= psi. Nodes
-  // whose parents lie below psi (or bucket roots) keep theirs until the
-  // tree's last ordered node completes, at which point the whole tree's
-  // lset storage is retired. This bounds live cells by the occurrence
-  // count of the trees still in flight — linear in input size.
-  if (--remaining_[ref.tree] == 0) {
-    for (auto& node_lsets : lsets_[ref.tree]) release_lsets(node_lsets);
-    lsets_[ref.tree].clear();
-    lsets_[ref.tree].shrink_to_fit();
+  // Surviving lsets are only needed by the parent, which splices them away
+  // and returns the slot. An orphan's parent is never processed, so its
+  // lsets retire now. Live cells are therefore bounded by the occurrences
+  // below the frontier — linear in input size.
+  if (mapped == kOrphan) {
+    return_slot(slot);
+  } else {
+    mapped = slot;
   }
 }
 
@@ -139,12 +201,22 @@ void PairGenerator::process_internal(const gst::Tree& t,
   // string keeps exactly one (child, class) occurrence — the first in
   // child-then-class order.
   const std::uint64_t token = ++token_;
-  std::vector<std::uint32_t> children;
-  t.for_each_child(v, [&](std::uint32_t u) { children.push_back(u); });
+  std::uint32_t* slot_of = slot_of_.data() + node_base_[tree_idx];
+  children_.clear();
+  t.for_each_child(v, [&](std::uint32_t u) {
+    children_.push_back(u);
+    if (slot_of[u] == kLoneLeaf) {  // build its deferred lset entry
+      const gst::SuffixOcc& occ = t.occs[t.nodes[u].occ_begin];
+      slot_of[u] = take_slot();
+      pool_.push(slots_[slot_of[u]][static_cast<std::size_t>(
+                     gst::left_extension_code(ests_, occ))],
+                 {occ.sid, occ.pos});
+    }
+  });
 
-  for (std::uint32_t u : children) {
-    NodeLsets& child = lsets_of(tree_idx, u);
-    for (auto& set : child) {
+  for (std::uint32_t u : children_) {
+    ESTCLUST_DCHECK(slot_of[u] < slots_.size());
+    for (auto& set : slots_[slot_of[u]]) {
       stats_.lset_work += set.size;
       work_since_take_ += set.size;
       pool_.remove_if(set, [&](const LsetEntry& e) {
@@ -157,10 +229,10 @@ void PairGenerator::process_internal(const gst::Tree& t,
 
   // Step 2: cross-child cartesian products with c1 != c2 or c1 = c2 = λ.
   const std::uint32_t len = t.depth(v);
-  for (std::size_t k = 0; k < children.size(); ++k) {
-    NodeLsets& lk = lsets_of(tree_idx, children[k]);
-    for (std::size_t l = k + 1; l < children.size(); ++l) {
-      NodeLsets& ll = lsets_of(tree_idx, children[l]);
+  for (std::size_t k = 0; k < children_.size(); ++k) {
+    const NodeLsets& lk = slots_[slot_of[children_[k]]];
+    for (std::size_t l = k + 1; l < children_.size(); ++l) {
+      const NodeLsets& ll = slots_[slot_of[children_[l]]];
       for (int c1 = 0; c1 < bio::kNumLsetCodes; ++c1) {
         for (int c2 = 0; c2 < bio::kNumLsetCodes; ++c2) {
           if (c1 == c2 && c1 != bio::kLambdaCode) continue;
@@ -172,13 +244,14 @@ void PairGenerator::process_internal(const gst::Tree& t,
   }
 
   // Step 3: union the children's lsets class-wise onto v (O(|Σ|²) splices)
-  // and retire the children's storage.
-  for (std::uint32_t u : children) {
-    NodeLsets& child = lsets_of(tree_idx, u);
+  // and return each child's slot.
+  for (std::uint32_t u : children_) {
+    NodeLsets& child = slots_[slot_of[u]];
     for (int c = 0; c < bio::kNumLsetCodes; ++c) {
       pool_.concat(lsets[static_cast<std::size_t>(c)],
                    child[static_cast<std::size_t>(c)]);
     }
+    return_slot(slot_of[u]);
   }
 }
 

@@ -60,11 +60,21 @@ class PairGenerator final : public PairSource {
   /// Live lset cells right now (space-linearity tests).
   std::uint32_t live_lset_cells() const { return pool_.live_cells(); }
 
+  /// Most lset slots ever live at once: the high-water mark of the
+  /// frontier of processed nodes whose parents are still pending (leaves
+  /// with one occurrence excepted: they take a slot only at the parent).
+  std::size_t peak_lset_slots() const { return slots_.size(); }
+
  private:
   struct NodeRef {
     std::uint32_t tree = 0;
     std::uint32_t node = 0;
   };
+
+  /// slot_of_ values that are not slot indices (all above any index).
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;  ///< not processed
+  static constexpr std::uint32_t kOrphan = 0xFFFFFFFEu;  ///< parent never is
+  static constexpr std::uint32_t kLoneLeaf = 0xFFFFFFFDu;  ///< entry deferred
 
   void process_next_node();
   void process_leaf(const gst::Tree& t, std::uint32_t v, NodeLsets& lsets);
@@ -74,22 +84,35 @@ class PairGenerator final : public PairSource {
   void cross_product(const Lset& s1, const Lset& s2, std::uint32_t len);
   void self_product(const Lset& s, std::uint32_t len);
 
-  NodeLsets& lsets_of(std::uint32_t tree_idx, std::uint32_t node);
-  void release_lsets(NodeLsets& lsets);
+  std::uint32_t take_slot();
+  void return_slot(std::uint32_t slot);
 
   const bio::EstSet& ests_;
   const std::vector<gst::Tree>& forest_;
   std::uint32_t psi_;
 
-  std::vector<NodeRef> order_;   ///< nodes with depth >= psi, sorted
+  /// Nodes with depth >= psi in processing order: depth descending, then
+  /// tree ascending, then node index descending (so a $-leaf, which ties
+  /// its parent's depth, comes first). Filled by a stable counting sort
+  /// on depth, which is bounded by the longest string.
+  std::vector<NodeRef> order_;
   std::size_t next_node_ = 0;    ///< cursor into order_
-  std::vector<std::uint32_t> remaining_;  ///< unprocessed nodes per tree
+
+  // Lsets live only on the frontier. A processed node holds one slot of
+  // slots_ until its parent splices its lsets away (or, for an orphan —
+  // a bucket root or a child of an internal node shallower than psi — right
+  // after its own processing). A leaf with one occurrence, most leaves,
+  // takes no slot: its parent builds the single entry when it splices.
+  // slot_of_ maps a global node index (node_base_[tree] + node) to its
+  // slot or to a k* marker. slots_ is a deque so growth never copies live
+  // lsets; its size is the peak.
+  std::vector<std::uint32_t> node_base_;
+  std::vector<std::uint32_t> slot_of_;
+  std::deque<NodeLsets> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::vector<std::uint32_t> children_;  ///< process_internal scratch
 
   LsetPool pool_;
-  // Dense lset storage per tree, allocated lazily per tree: lsets_[t] has
-  // one NodeLsets per node of tree t (order_ touches only depth >= psi
-  // nodes, but children of processed nodes also live here).
-  std::vector<std::vector<NodeLsets>> lsets_;
 
   // Duplicate-elimination mark array: mark_[sid] == token when sid was
   // already seen at the internal node currently being processed.

@@ -56,18 +56,17 @@ void SeedPairSource::process_group(std::span<const gst::SuffixOcc> occs) {
     for (std::size_t j = i + 1; j < occs.size(); ++j) {
       const auto s2 = ests_.str(occs[j].sid);
       ++construction_units_;
-      // Maximal left extension; if it moves, the match starts before this
-      // seed, so the group at the match-start seed owns the record.
-      std::uint32_t l1 = occs[i].pos;
-      std::uint32_t l2 = occs[j].pos;
-      while (l1 > 0 && l2 > 0 && s1[l1 - 1] == s2[l2 - 1]) {
+      // Leftmost-seed rule: if the pair extends one character left, the
+      // match starts before this seed and the group at the match-start
+      // seed owns the record. One compare decides; no left walk needed.
+      const std::uint32_t l1 = occs[i].pos;
+      const std::uint32_t l2 = occs[j].pos;
+      if (l1 > 0 && l2 > 0 && s1[l1 - 1] == s2[l2 - 1]) {
         ++construction_units_;
-        --l1;
-        --l2;
+        continue;
       }
-      if (l1 != occs[i].pos) continue;
-      std::uint32_t e1 = occs[i].pos + k_;
-      std::uint32_t e2 = occs[j].pos + k_;
+      std::uint32_t e1 = l1 + k_;
+      std::uint32_t e2 = l2 + k_;
       while (e1 < s1.size() && e2 < s2.size() && s1[e1] == s2[e2]) {
         ++construction_units_;
         ++e1;

@@ -2,9 +2,10 @@
 //
 // The k-mer and sorted-seed (fm) backends both reduce promising-pair
 // discovery to the same primitive: group every owned occurrence of a
-// length-k seed, then extend each occurrence pair maximally left and
-// right. A pair is recorded only by the group whose seed sits at the
-// *start* of the maximal match (leftmost-seed rule), so each maximal
+// length-k seed, then keep each occurrence pair only if it cannot extend
+// one character left and extend it maximally right. A pair is thus
+// recorded only by the group whose seed sits at the *start* of the
+// maximal match (leftmost-seed rule), so each maximal
 // common substring yields exactly one record per occurrence pair — the
 // same per-anchor granularity as the GST walk. Because k >= psi >= w, a
 // seed at the match start shares the anchor's w-prefix, so restricting
@@ -53,9 +54,10 @@ class SeedPairSource : public PairSource {
   bool owns_bucket(std::uint64_t bucket) const { return owned_[bucket]; }
 
   /// One seed group: every owned occurrence of one length-k seed, sorted
-  /// by (sid, pos). Extends each i < j occurrence pair maximally, applies
-  /// the leftmost-seed rule and the §3.2 self/orientation discards, and
-  /// records survivors of length >= psi.
+  /// by (sid, pos). Drops each i < j occurrence pair that extends one
+  /// character left (leftmost-seed rule), extends the rest maximally
+  /// right, applies the §3.2 self/orientation discards, and records
+  /// survivors of length >= psi.
   void process_group(std::span<const gst::SuffixOcc> occs);
 
   /// Sorts records into the final serving order (decreasing match_len,

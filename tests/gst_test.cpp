@@ -468,6 +468,100 @@ TEST_P(ParallelGstTest, OfflineOwnershipMatchesCollectiveBuild) {
 INSTANTIATE_TEST_SUITE_P(RankCounts, ParallelGstTest,
                          testing::Values(1, 2, 3, 4, 8));
 
+/// FNV-1a over every tree's bucket, window, nodes and occurrences.
+std::uint64_t forest_digest(const std::vector<Tree>& forest) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&](std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const Tree& t : forest) {
+    mix(t.bucket_id);
+    mix(t.prefix_depth);
+    for (const Node& n : t.nodes) {
+      mix(n.rightmost);
+      mix(n.depth);
+      mix(n.occ_begin);
+      mix(n.occ_end);
+    }
+    for (const SuffixOcc& o : t.occs) {
+      mix(o.sid);
+      mix(o.pos);
+    }
+  }
+  return h;
+}
+
+/// Randomly lower-cases about half the bases of every read.
+EstSet mixed_case(Prng& rng, const EstSet& ests) {
+  std::vector<Sequence> seqs;
+  for (std::size_t i = 0; i < ests.num_ests(); ++i) {
+    std::string s = ests.est(static_cast<bio::EstId>(i)).bases;
+    for (char& c : s) {
+      if (rng.bernoulli(0.5)) c = static_cast<char>(c - 'A' + 'a');
+    }
+    seqs.push_back({"m" + std::to_string(i), s});
+  }
+  return EstSet(std::move(seqs));
+}
+
+TEST(GstBuild, CountersAndShapePinned) {
+  // Builder counters and an FNV digest of every tree, computed with the
+  // comparison-sort bucketing and the depth-at-a-time refiner (one group
+  // scan per depth, one heap vector per class per node) that preceded the
+  // counting-pass bucketing and in-place range refinement. Any change to
+  // tree shape, leaf occurrence order or the chars_scanned charge moves
+  // these values.
+  struct Case {
+    const char* name;
+    EstSet ests;
+    std::uint32_t w;
+    BuildCounters want;
+    std::uint64_t digest;
+  };
+  Prng rng(2024);
+  EstSet plain = random_ests(rng, 40, 30, 120);
+  // Windows of one gene, so overlaps span upper/lower-case spellings.
+  const std::string gene = random_dna(rng, 200);
+  std::vector<Sequence> windows;
+  for (int i = 0; i < 24; ++i) {
+    const std::size_t start = rng.uniform(140);
+    windows.push_back({"g" + std::to_string(i), gene.substr(start, 60)});
+  }
+  EstSet mixed = mixed_case(rng, EstSet(std::move(windows)));
+  const std::string read = random_dna(rng, 90);
+  EstSet dups({{"a", read},
+               {"b", read},
+               {"c", read},
+               {"d", random_dna(rng, 70)},
+               {"e", read + random_dna(rng, 20)}});
+  EstSet prefix({{"p", read.substr(0, 45)},
+                 {"q", read},
+                 {"r", read.substr(10, 60)},
+                 {"s", random_dna(rng, 50) + read.substr(0, 30)}});
+  std::vector<Case> cases;
+  cases.push_back({"plain", std::move(plain), 4, {5540, 17500, 8807},
+                   13906060505263359073ULL});
+  cases.push_back({"mixed_case", std::move(mixed), 3, {2784, 79738, 4840},
+                   2639834550150129517ULL});
+  cases.push_back({"identical", std::move(dups), 4, {870, 30808, 662},
+                   6203604256378240945ULL});
+  cases.push_back({"prefix", std::move(prefix), 2, {542, 11110, 866},
+                   11030551881824122484ULL});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    BuildCounters got;
+    auto forest = build_forest_sequential(c.ests, c.w, &got);
+    for (const auto& t : forest) t.validate(c.ests);
+    EXPECT_EQ(got.suffixes, c.want.suffixes);
+    EXPECT_EQ(got.chars_scanned, c.want.chars_scanned);
+    EXPECT_EQ(got.nodes, c.want.nodes);
+    EXPECT_EQ(forest_digest(forest), c.digest);
+  }
+}
+
 TEST(ParallelGst, LoadRoughlyBalancedAcrossRanks) {
   Prng rng(44);
   EstSet ests = random_ests(rng, 60, 80, 120);

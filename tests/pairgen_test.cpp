@@ -539,6 +539,82 @@ TEST(PairGenerator, LiveLsetCellsBoundedByOccurrences) {
   EXPECT_EQ(gen.live_lset_cells(), 0u);  // everything retired at the end
 }
 
+TEST(PairGenerator, LsetSlotsTrackTheFrontier) {
+  // A processed node's lsets live only until its parent splices them, and
+  // an orphan's (bucket root, or child of a node shallower than psi) die
+  // with it, so the live slots are the frontier of the depth-order walk,
+  // well below one per processed node.
+  if (!gst_backend()) GTEST_SKIP() << "lset pool is GST-internal";
+  Prng rng(30);
+  EstSet ests = overlap_ests(rng, 40, 8);
+  auto forest = gst::build_forest_sequential(ests, 4);
+  PairGenerator gen(ests, forest, 12);
+  drain(gen);
+  const std::uint64_t processed = gen.stats().nodes_processed;
+  ASSERT_GT(processed, 0u);
+  EXPECT_LE(2 * gen.peak_lset_slots(), processed)
+      << "peak slots " << gen.peak_lset_slots() << " of " << processed
+      << " processed nodes";
+  EXPECT_EQ(gen.live_lset_cells(), 0u);
+}
+
+TEST(PairGenerator, StreamDigestPinned) {
+  // FNV digest of the full record stream, computed with the comparison
+  // sort over node records and the per-tree dense lset arrays that
+  // preceded the counting-sort order and the frontier slot pool. The
+  // stream order (not just its set) is the contract, so any change to the
+  // node order, lset splicing or emission order moves these values.
+  if (!gst_backend()) GTEST_SKIP() << "pins the GST walk's own order";
+  Prng rng(41);
+  EstSet plain = overlap_ests(rng, 40, 6, 400, 100);
+  std::vector<Sequence> lowered;
+  for (std::size_t i = 0; i < plain.num_ests(); ++i) {
+    std::string s = plain.est(static_cast<bio::EstId>(i)).bases;
+    for (char& c : s) {
+      if (rng.bernoulli(0.3)) c = static_cast<char>(c - 'A' + 'a');
+    }
+    lowered.push_back({"l" + std::to_string(i), s});
+  }
+  EstSet mixed(std::move(lowered));
+  struct Case {
+    const EstSet* ests;
+    std::uint32_t psi;
+    std::size_t pairs;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {&plain, 10, 352, 4830505528479060806ULL},
+      {&plain, 20, 314, 12432781226816820193ULL},
+      // Case never splits a branch: the lower-cased copy streams the same.
+      {&mixed, 10, 352, 4830505528479060806ULL},
+      {&mixed, 20, 314, 12432781226816820193ULL},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << (c.ests == &plain ? "plain" : "mixed")
+                                    << " psi=" << c.psi);
+    auto forest = gst::build_forest_sequential(*c.ests, 4);
+    PairGenerator gen(*c.ests, forest, c.psi);
+    const auto pairs = drain(gen, 7);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&](std::uint64_t x) {
+      for (int i = 0; i < 8; ++i) {
+        h ^= (x >> (8 * i)) & 0xFF;
+        h *= 0x100000001b3ULL;
+      }
+    };
+    for (const auto& p : pairs) {
+      mix(p.a);
+      mix(p.b);
+      mix(p.b_rc ? 1 : 0);
+      mix(p.match_len);
+      mix(p.a_pos);
+      mix(p.b_pos);
+    }
+    EXPECT_EQ(pairs.size(), c.pairs);
+    EXPECT_EQ(h, c.digest);
+  }
+}
+
 TEST(PairSource, EmptyForest) {
   EstSet ests(std::vector<Sequence>{{"a", "ACGT"}});
   std::vector<gst::Tree> forest;  // nothing

@@ -67,6 +67,10 @@ REQUIRED_TESTS = (
     # hide behind whatever kernel the build host happens to pick.
     "bench_wallclock",
     "golden_clusters_scalar_kernel",
+    # GST hot-path gates: the frontier bound on live lset slots, and the
+    # builder counters and tree digests pinned from the reference builder.
+    "gst/PairGenerator.LsetSlotsTrackTheFrontier",
+    "GstBuild.CountersAndShapePinned",
 )
 
 
