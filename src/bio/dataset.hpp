@@ -18,10 +18,16 @@ namespace estclust::bio {
 using EstId = std::uint32_t;     ///< index of an EST, 0..n-1
 using StringId = std::uint32_t;  ///< index into S, 0..2n-1
 
+/// Longest accepted EST: suffix positions are stored in 29 bits.
+inline constexpr std::size_t kMaxEstLength = (std::size_t{1} << 29) - 1;
+
 /// Immutable collection of n ESTs plus materialized reverse complements.
 class EstSet {
  public:
   EstSet() = default;
+  /// Takes the reads as given, upper-casing their bases so every layer
+  /// compares one spelling. Throws CheckError on an empty read, a read
+  /// longer than kMaxEstLength, or a non-ACGT character.
   explicit EstSet(std::vector<Sequence> ests);
 
   std::size_t num_ests() const { return ests_.size(); }        ///< n

@@ -29,9 +29,10 @@ std::string normalize_bases(std::string_view raw) {
   return out;
 }
 
-bool all_valid_bases(std::string_view s) {
-  for (char c : s) {
+bool upcase_valid_bases(std::string& s) {
+  for (char& c : s) {
     if (!is_valid_base(c)) return false;
+    if (c >= 'a') c = static_cast<char>(c - ('a' - 'A'));
   }
   return true;
 }

@@ -22,8 +22,9 @@ std::string reverse_complement(std::string_view s);
 /// characters (column/position included in the message).
 std::string normalize_bases(std::string_view raw);
 
-/// True iff every character is one of ACGTacgt.
-bool all_valid_bases(std::string_view s);
+/// Upper-cases `s` in place and returns true iff every character is one
+/// of ACGTacgt (on false, `s` may be partly upper-cased).
+bool upcase_valid_bases(std::string& s);
 
 /// Non-owning view over 2-bit-packed bases (32 per word, LSB-first). The
 /// kernel-facing face of the packing: the SIMD alignment sweep consumes

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstring>
 
 #include "bio/alphabet.hpp"
 #include "util/check.hpp"
@@ -32,7 +34,57 @@ void collect_suffixes(const bio::EstSet& ests, bio::StringId sid_begin,
                            });
 }
 
+CodeText::CodeText(const bio::EstSet& ests) {
+  // encode_base through one table lookup per base.
+  static constexpr auto kCode = [] {
+    std::array<std::uint8_t, 256> t{};
+    for (int c = 0; c < 256; ++c) {
+      t[static_cast<std::size_t>(c)] = static_cast<std::uint8_t>(
+          bio::encode_base(static_cast<char>(c)) & 3);
+    }
+    return t;
+  }();
+  const auto num_sids = static_cast<bio::StringId>(ests.num_strings());
+  const std::size_t used = ests.total_string_chars() + num_sids + 1;
+  ESTCLUST_CHECK_MSG(used + kTailPad <= UINT32_MAX,
+                     "input too large for 32-bit text offsets");
+  bytes_.assign(used + kTailPad, 0);
+  start_.resize(std::size_t{num_sids} + 1);
+  std::uint8_t* out = bytes_.data();
+  *out++ = kSentinel;
+  for (bio::StringId sid = 0; sid < num_sids; ++sid) {
+    start_[sid] = static_cast<std::uint32_t>(out - bytes_.data());
+    for (char c : ests.str(sid)) {
+      *out++ = kCode[static_cast<unsigned char>(c)];
+    }
+    *out++ = kSentinel;
+  }
+  start_[num_sids] = static_cast<std::uint32_t>(out - bytes_.data());
+}
+
 namespace {
+
+/// A suffix during refinement: `at` is the text offset of its first code.
+/// Offsets rise with (sid, pos), so ascending `at` is canonical order.
+struct TextSuffix {
+  std::uint32_t at = 0;
+  bio::StringId sid = 0;
+};
+
+std::uint64_t load_word(const std::uint8_t* p) {
+  std::uint64_t w;
+  std::memcpy(&w, p, sizeof w);
+  return w;
+}
+
+/// Index of the first differing byte of two words whose XOR is x != 0.
+std::size_t first_diff_byte(std::uint64_t x) {
+  if constexpr (std::endian::native == std::endian::little) {
+    return static_cast<std::size_t>(std::countr_zero(x)) / 8;
+  } else {
+    return static_cast<std::size_t>(std::countl_zero(x)) / 8;
+  }
+}
 
 /// Recursive refinement of one bucket's suffixes, emitting its subtree
 /// into `tree` in DFS order. Every suffix group is a range [lo, hi) of one
@@ -40,11 +92,13 @@ namespace {
 /// node partitions its range in place ($ group first, then A, C, G, T) by
 /// a stable counting sort through one scratch buffer of the same size, so
 /// no node allocates and each class keeps its (sid, pos) input order.
+/// Characters are read from the CodeText, one load per class lookup.
 class BucketRefiner {
  public:
-  BucketRefiner(const bio::EstSet& ests, Tree& tree, BuildCounters& counters,
-                std::vector<SuffixOcc>& group)
-      : ests_(ests),
+  BucketRefiner(const CodeText& text, Tree& tree, BuildCounters& counters,
+                std::vector<TextSuffix>& group)
+      : text_(text),
+        codes_(text.data()),
         tree_(tree),
         counters_(counters),
         group_(group),
@@ -53,7 +107,7 @@ class BucketRefiner {
   void build(std::size_t lo, std::size_t hi, std::uint32_t d) {
     ESTCLUST_DCHECK(lo < hi);
     if (hi - lo == 1) {
-      emit_singleton_leaf(group_[lo]);
+      emit_leaf(lo, hi, text_.end(group_[lo].sid) - group_[lo].at);
       return;
     }
 
@@ -71,7 +125,7 @@ class BucketRefiner {
     for (std::size_t i = lo; i < hi; ++i) ++start[class_at(group_[i], d)];
     if (start[bio::kSigma] == hi - lo) {
       // All suffixes end at depth d: identical strings -> one leaf.
-      emit_coalesced_leaf(lo, hi, d);
+      emit_leaf(lo, hi, d);
       return;
     }
 
@@ -95,7 +149,7 @@ class BucketRefiner {
               group_.begin() + static_cast<std::ptrdiff_t>(lo));
 
     if (start[bio::kSigma] != end[bio::kSigma]) {
-      emit_coalesced_leaf(start[bio::kSigma], end[bio::kSigma], d);
+      emit_leaf(start[bio::kSigma], end[bio::kSigma], d);
     }
     for (int c = 0; c < bio::kSigma; ++c) {
       const auto k = static_cast<std::size_t>(c);
@@ -106,29 +160,32 @@ class BucketRefiner {
   }
 
  private:
-  /// Character class of `occ` at depth d: the base code, or kSigma for
-  /// the $ of a suffix that ends there.
-  std::size_t class_at(const SuffixOcc& occ, std::uint32_t d) const {
-    const auto s = ests_.str(occ.sid);
-    if (occ.pos + d == s.size()) return bio::kSigma;
-    return static_cast<std::size_t>(bio::encode_base(s[occ.pos + d]));
+  /// Character class of `s` at depth d: the base code, or kSigma (the
+  /// sentinel) for the $ of a suffix that ends there.
+  std::size_t class_at(const TextSuffix& s, std::uint32_t d) const {
+    return codes_[s.at + d];
   }
 
   /// Largest e such that every suffix of [lo, hi) has at least d + e
   /// characters and agrees with the first one on [d, d + e). Compares
-  /// base codes, so case never splits a class.
+  /// eight codes per word; a shorter suffix stops at its sentinel, which
+  /// differs from every base, and the first suffix's own length bounds e.
   std::uint32_t common_extension(std::size_t lo, std::size_t hi,
                                  std::uint32_t d) const {
-    const auto first = ests_.str(group_[lo].sid).substr(group_[lo].pos + d);
-    std::size_t ext = first.size();
+    const std::uint8_t* first = codes_ + group_[lo].at + d;
+    std::size_t ext = text_.end(group_[lo].sid) - (group_[lo].at + d);
     for (std::size_t i = lo + 1; i < hi && ext > 0; ++i) {
-      const auto s = ests_.str(group_[i].sid).substr(group_[i].pos + d);
-      const std::size_t n = std::min(ext, s.size());
+      const std::uint8_t* s = codes_ + group_[i].at + d;
       std::size_t e = 0;
-      while (e < n && bio::encode_base(s[e]) == bio::encode_base(first[e])) {
-        ++e;
+      while (e < ext) {
+        const std::uint64_t x = load_word(s + e) ^ load_word(first + e);
+        if (x != 0) {
+          e += first_diff_byte(x);
+          break;
+        }
+        e += 8;
       }
-      ext = e;
+      ext = std::min(ext, e);
     }
     return static_cast<std::uint32_t>(ext);
   }
@@ -141,47 +198,47 @@ class BucketRefiner {
     return static_cast<std::uint32_t>(tree_.nodes.size()) - 1;
   }
 
-  void emit_singleton_leaf(const SuffixOcc& occ) {
-    auto s = ests_.str(occ.sid);
-    const std::uint32_t v = new_node(
-        static_cast<std::uint32_t>(s.size() - occ.pos));
+  /// A leaf of depth `depth` holding the suffixes [lo, hi), with each
+  /// occurrence's left-extension code: the text byte before it.
+  void emit_leaf(std::size_t lo, std::size_t hi, std::uint32_t depth) {
+    const std::uint32_t v = new_node(depth);
     tree_.nodes[v].rightmost = v;
     tree_.nodes[v].occ_begin = static_cast<std::uint32_t>(tree_.occs.size());
-    tree_.occs.push_back(occ);
+    for (std::size_t i = lo; i < hi; ++i) {
+      const TextSuffix& s = group_[i];
+      tree_.occs.push_back(
+          {s.sid, s.at - text_.start(s.sid), codes_[s.at - 1]});
+    }
     tree_.nodes[v].occ_end = static_cast<std::uint32_t>(tree_.occs.size());
   }
 
-  void emit_coalesced_leaf(std::size_t lo, std::size_t hi, std::uint32_t d) {
-    const std::uint32_t v = new_node(d);
-    tree_.nodes[v].rightmost = v;
-    tree_.nodes[v].occ_begin = static_cast<std::uint32_t>(tree_.occs.size());
-    tree_.occs.insert(tree_.occs.end(),
-                      group_.begin() + static_cast<std::ptrdiff_t>(lo),
-                      group_.begin() + static_cast<std::ptrdiff_t>(hi));
-    tree_.nodes[v].occ_end = static_cast<std::uint32_t>(tree_.occs.size());
-  }
-
-  const bio::EstSet& ests_;
+  const CodeText& text_;
+  const std::uint8_t* codes_;
   Tree& tree_;
   BuildCounters& counters_;
-  std::vector<SuffixOcc>& group_;
-  std::vector<SuffixOcc> scratch_;
+  std::vector<TextSuffix>& group_;
+  std::vector<TextSuffix> scratch_;
 };
 
 }  // namespace
 
-Tree build_bucket_tree(const bio::EstSet& ests,
-                       std::vector<SuffixOcc> suffixes, std::uint32_t w,
+Tree build_bucket_tree(const CodeText& text,
+                       std::span<const SuffixOcc> suffixes, std::uint32_t w,
                        std::uint64_t bucket_id, BuildCounters& counters) {
   ESTCLUST_CHECK(!suffixes.empty());
+  std::vector<TextSuffix> group(suffixes.size());
+  for (std::size_t i = 0; i < suffixes.size(); ++i) {
+    group[i] = {text.start(suffixes[i].sid) + suffixes[i].pos,
+                suffixes[i].sid};
+  }
   // Canonical input order => identical trees regardless of how suffixes
   // arrived (sequential scan or all-to-all exchange). Both drivers already
   // hand over (sid, pos) order, so the sort is only a fallback.
-  const auto by_sid_pos = [](const SuffixOcc& a, const SuffixOcc& b) {
-    return a.sid != b.sid ? a.sid < b.sid : a.pos < b.pos;
+  const auto by_at = [](const TextSuffix& a, const TextSuffix& b) {
+    return a.at < b.at;
   };
-  if (!std::is_sorted(suffixes.begin(), suffixes.end(), by_sid_pos)) {
-    std::sort(suffixes.begin(), suffixes.end(), by_sid_pos);
+  if (!std::is_sorted(group.begin(), group.end(), by_at)) {
+    std::sort(group.begin(), group.end(), by_at);
   }
   counters.suffixes += suffixes.size();
 
@@ -190,11 +247,16 @@ Tree build_bucket_tree(const bio::EstSet& ests,
   tree.prefix_depth = w;
   tree.nodes.reserve(2 * suffixes.size());
   tree.occs.reserve(suffixes.size());
-  BucketRefiner refiner(ests, tree, counters, suffixes);
-  refiner.build(0, suffixes.size(), w);
+  BucketRefiner refiner(text, tree, counters, group);
+  refiner.build(0, group.size(), w);
   tree.nodes.shrink_to_fit();
-  tree.occs.shrink_to_fit();
   return tree;
+}
+
+Tree build_bucket_tree(const bio::EstSet& ests,
+                       std::vector<SuffixOcc> suffixes, std::uint32_t w,
+                       std::uint64_t bucket_id, BuildCounters& counters) {
+  return build_bucket_tree(CodeText(ests), suffixes, w, bucket_id, counters);
 }
 
 std::vector<Tree> build_forest_sequential(const bio::EstSet& ests,
@@ -222,16 +284,14 @@ std::vector<Tree> build_forest_sequential(const bio::EstSet& ests,
 
   BuildCounters local;
   BuildCounters& c = counters ? *counters : local;
+  const CodeText text(ests);
+  const std::span<const SuffixOcc> all(grouped);
   std::vector<Tree> forest;
   std::uint64_t begin = 0;
   for (std::uint64_t b = 0; b < at.size(); ++b) {
     if (at[b] == begin) continue;
-    forest.push_back(build_bucket_tree(
-        ests,
-        std::vector<SuffixOcc>(
-            grouped.begin() + static_cast<std::ptrdiff_t>(begin),
-            grouped.begin() + static_cast<std::ptrdiff_t>(at[b])),
-        w, b, c));
+    forest.push_back(
+        build_bucket_tree(text, all.subspan(begin, at[b] - begin), w, b, c));
     begin = at[b];
   }
   return forest;

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bio/alphabet.hpp"
@@ -66,10 +67,45 @@ void collect_suffixes(const bio::EstSet& ests, bio::StringId sid_begin,
                       bio::StringId sid_end, std::uint32_t w,
                       std::vector<BucketedSuffix>& out);
 
-/// Builds the subtree for one bucket. `suffixes` must all share the same
+/// The flat text the refiner reads: every string of S as one byte code
+/// per base (0..3), in sid order, each string preceded and followed by
+/// kSentinel, then kTailPad bytes so a word-wide read that starts at or
+/// before the last sentinel stays inside the buffer. kSentinel is both the
+/// $ class of a suffix that ends and λ, the left extension of a suffix
+/// that starts its string, so every occurrence's left-extension code is
+/// the byte before it. Built once per forest build; ~2N + 4·2n bytes.
+class CodeText {
+ public:
+  static constexpr std::uint8_t kSentinel = bio::kLambdaCode;
+  static constexpr std::size_t kTailPad = 8;
+  static_assert(bio::kLambdaCode == bio::kSigma,
+                "$ and λ share the sentinel code");
+
+  explicit CodeText(const bio::EstSet& ests);
+
+  const std::uint8_t* data() const { return bytes_.data(); }
+
+  /// Text offset of the first code of string sid.
+  std::uint32_t start(bio::StringId sid) const { return start_[sid]; }
+
+  /// Text offset of the sentinel that ends string sid.
+  std::uint32_t end(bio::StringId sid) const { return start_[sid + 1] - 1; }
+
+ private:
+  std::vector<std::uint8_t> bytes_;
+  std::vector<std::uint32_t> start_;  ///< 2n + 1 entries
+};
+
+/// Builds the subtree for one bucket from `text`, the CodeText of the
+/// strings the suffixes index. `suffixes` must all share the same
 /// length-w prefix; they are put in canonical (sid, pos) order internally
 /// (no sort when they already are) so the resulting tree is independent
 /// of input order.
+Tree build_bucket_tree(const CodeText& text,
+                       std::span<const SuffixOcc> suffixes, std::uint32_t w,
+                       std::uint64_t bucket_id, BuildCounters& counters);
+
+/// The same for a single bucket, building the text for the call.
 Tree build_bucket_tree(const bio::EstSet& ests,
                        std::vector<SuffixOcc> suffixes, std::uint32_t w,
                        std::uint64_t bucket_id, BuildCounters& counters);

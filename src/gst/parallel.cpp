@@ -67,20 +67,24 @@ void sort_canonical(std::vector<BucketedSuffix>& owned) {
 }
 
 /// §3.1 step 5: refines canonically sorted owned suffixes into one subtree
-/// per bucket, ordered by bucket id.
+/// per bucket, ordered by bucket id, over one CodeText of all strings (an
+/// owned bucket holds suffixes of any string).
 std::vector<Tree> refine_owned(const bio::EstSet& ests,
                                const std::vector<BucketedSuffix>& owned,
                                std::uint32_t w, BuildCounters& counters) {
   std::vector<Tree> forest;
+  if (owned.empty()) return forest;
+  const CodeText text(ests);
+  std::vector<SuffixOcc> bucket;
   std::size_t i = 0;
   while (i < owned.size()) {
     std::size_t j = i;
-    while (j < owned.size() && owned[j].bucket == owned[i].bucket) ++j;
-    std::vector<SuffixOcc> bucket;
-    bucket.reserve(j - i);
-    for (std::size_t k = i; k < j; ++k) bucket.push_back(owned[k].occ);
-    forest.push_back(build_bucket_tree(ests, std::move(bucket), w,
-                                       owned[i].bucket, counters));
+    bucket.clear();
+    for (; j < owned.size() && owned[j].bucket == owned[i].bucket; ++j) {
+      bucket.push_back(owned[j].occ);
+    }
+    forest.push_back(
+        build_bucket_tree(text, bucket, w, owned[i].bucket, counters));
     i = j;
   }
   return forest;

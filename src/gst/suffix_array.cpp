@@ -100,7 +100,10 @@ class IntervalFolder {
     tree_.nodes[v].rightmost = v;
     tree_.nodes[v].occ_begin = static_cast<std::uint32_t>(tree_.occs.size());
     for (std::size_t k = lo; k < hi; ++k) {
-      tree_.occs.push_back(sa_.order[k]);
+      const SuffixOcc& occ = sa_.order[k];
+      tree_.occs.push_back(
+          {occ.sid, occ.pos,
+           static_cast<std::uint32_t>(left_extension_code(ests_, occ))});
     }
     tree_.nodes[v].occ_end = static_cast<std::uint32_t>(tree_.occs.size());
   }

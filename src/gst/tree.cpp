@@ -38,7 +38,7 @@ std::string Tree::path_label(const bio::EstSet& ests, std::uint32_t v) const {
   // Any occurrence in the subtree shares the node's path-label as prefix;
   // the rightmost pointer always designates a leaf.
   std::uint32_t u = nodes[v].rightmost;
-  const SuffixOcc& occ = occs[nodes[u].occ_begin];
+  const TreeOcc& occ = occs[nodes[u].occ_begin];
   auto s = ests.str(occ.sid);
   return std::string(s.substr(occ.pos, nodes[v].depth));
 }
@@ -60,13 +60,15 @@ void Tree::validate(const bio::EstSet& ests) const {
       total_occs += node.occ_end - node.occ_begin;
       // Every occurrence of a leaf must be the same base string of length
       // `depth` (identical suffixes coalesce) and must run to string end.
-      const SuffixOcc& first = occs[node.occ_begin];
+      const TreeOcc& first = occs[node.occ_begin];
       auto ref = ests.str(first.sid).substr(first.pos, node.depth);
       for (std::uint32_t k = node.occ_begin; k < node.occ_end; ++k) {
-        const SuffixOcc& occ = occs[k];
+        const TreeOcc& occ = occs[k];
         auto s = ests.str(occ.sid);
         ESTCLUST_CHECK(occ.pos + node.depth == s.size());
         ESTCLUST_CHECK(same_bases(s.substr(occ.pos, node.depth), ref));
+        ESTCLUST_CHECK(static_cast<int>(occ.lext) ==
+                       left_extension_code(ests, occ));
       }
     } else {
       // Children partition the subtree; each child's depth exceeds the

@@ -36,6 +36,23 @@ struct SuffixOcc {
   friend bool operator==(const SuffixOcc&, const SuffixOcc&) = default;
 };
 
+/// An occurrence stored in a Tree: the suffix plus its left-extension code
+/// (left_extension_code), written by the builder in bits the position
+/// leaves free. The pair walk classifies occurrences without reading the
+/// strings, and the codes cost no bytes: a side array would add a heap
+/// block to every bucket tree, most of which hold a handful of suffixes.
+struct TreeOcc {
+  bio::StringId sid = 0;
+  std::uint32_t pos : 29 = 0;
+  std::uint32_t lext : 3 = 0;
+
+  operator SuffixOcc() const { return {sid, pos}; }
+  friend bool operator==(const TreeOcc&, const TreeOcc&) = default;
+};
+static_assert(sizeof(TreeOcc) == sizeof(SuffixOcc));
+static_assert(bio::kMaxEstLength < (std::size_t{1} << 29),
+              "every suffix position fits TreeOcc::pos");
+
 /// A GST node in the DFS array. 16 bytes; the tree has at most 2k-1 nodes
 /// for k suffixes, keeping storage linear in input size.
 struct Node {
@@ -50,7 +67,7 @@ struct Node {
 class Tree {
  public:
   std::vector<Node> nodes;     ///< DFS order; nodes[0] is the subtree root
-  std::vector<SuffixOcc> occs; ///< leaf occurrence lists, leaf-contiguous
+  std::vector<TreeOcc> occs;  ///< leaf occurrence lists, leaf-contiguous
   std::uint64_t bucket_id = 0;
   std::uint32_t prefix_depth = 0;
 
@@ -61,7 +78,7 @@ class Tree {
   std::uint32_t depth(std::uint32_t v) const { return nodes[v].depth; }
 
   /// Occurrence list of a leaf.
-  std::span<const SuffixOcc> occurrences(std::uint32_t v) const {
+  std::span<const TreeOcc> occurrences(std::uint32_t v) const {
     ESTCLUST_DCHECK(is_leaf(v));
     return {occs.data() + nodes[v].occ_begin,
             occs.data() + nodes[v].occ_end};
@@ -94,7 +111,7 @@ class Tree {
   /// Heap bytes used by this tree (space-accounting tests).
   std::size_t storage_bytes() const {
     return nodes.capacity() * sizeof(Node) +
-           occs.capacity() * sizeof(SuffixOcc);
+           occs.capacity() * sizeof(TreeOcc);
   }
 
   /// Reconstructs the path-label of node v from any occurrence below it.
@@ -102,7 +119,8 @@ class Tree {
 
   /// Checks structural invariants (DFS layout, rightmost pointers, depths
   /// strictly increasing parent->child except depth-ties at $-leaves,
-  /// occurrence prefixes consistent with path labels). Throws CheckError on
+  /// occurrence prefixes consistent with path labels, left-extension codes
+  /// matching left_extension_code). Throws CheckError on
   /// violation. Intended for tests; O(total occurrences * depth).
   void validate(const bio::EstSet& ests) const;
 };

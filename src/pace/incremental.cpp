@@ -47,12 +47,13 @@ BatchStats IncrementalClusterer::add_batch(std::vector<bio::Sequence> batch) {
   st.dirty_buckets = dirty.size();
   st.total_buckets = buckets_.size();
 
-  // Re-refine only the dirty buckets.
+  // Re-refine only the dirty buckets, over one text of the grown set.
   gst::BuildCounters counters;
   std::vector<gst::Tree> forest;
   forest.reserve(dirty.size());
+  const gst::CodeText text(ests_);
   for (std::uint64_t b : dirty) {
-    forest.push_back(gst::build_bucket_tree(ests_, buckets_[b],
+    forest.push_back(gst::build_bucket_tree(text, buckets_[b],
                                             cfg_.gst.window, b, counters));
   }
 

@@ -89,6 +89,17 @@ std::unique_ptr<pairgen::PairSource> node_sorting_phase(
   return source;
 }
 
+/// Publishes the drained stream's working memory beside the index bytes:
+/// the lset high-water marks (0 for the seed backends).
+void publish_walk_memory(mpr::Communicator& comm,
+                         const pairgen::PairSource& source) {
+  auto& m = comm.metrics();
+  m.gauge("pairgen.lset_peak_slots", obs::MergeOp::kMax)
+      .set(static_cast<double>(source.peak_lset_slots()));
+  m.gauge("pairgen.lset_peak_bytes", obs::MergeOp::kMax)
+      .set(static_cast<double>(source.peak_lset_bytes()));
+}
+
 /// p = 1: the full pipeline on one rank with identical charging, so the
 /// single-processor point of the scaling curves is measured by the same
 /// clock as the parallel points.
@@ -117,6 +128,7 @@ ParallelResult cluster_single_rank(mpr::Communicator& comm,
   }
   st.t_align = comm.clock().time() - t;
   if (tracer) tracer->end("alignment");
+  publish_walk_memory(comm, *gen);
 
   st.pairs_generated = gen->stats().pairs_emitted;
   st.num_clusters = state.clusters.num_clusters();
@@ -178,6 +190,7 @@ ParallelResult cluster_parallel(mpr::Communicator& comm,
     auto source = node_sorting_phase(comm, ests, effective, share, st);
     Slave slave(comm, ests, effective, std::move(source));
     slave_counters = slave.run();
+    publish_walk_memory(comm, slave.source());
   }
 
   // Aggregate counters and phase times.

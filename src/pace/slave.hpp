@@ -47,6 +47,9 @@ class Slave {
   /// under a fault plan — until this rank's scheduled death checkpoint.
   SlaveCounters run();
 
+  /// The rank's pair source (drained once run() returned normally).
+  const pairgen::PairSource& source() const { return *source_; }
+
  private:
   std::vector<WireResult> align_all(
       const std::vector<pairgen::PromisingPair>& work);

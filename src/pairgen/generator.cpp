@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "bio/alphabet.hpp"
 #include "util/check.hpp"
 
 namespace estclust::pairgen {
@@ -18,7 +19,7 @@ constexpr int kClassOrder[bio::kNumLsetCodes] = {
 PairGenerator::PairGenerator(const bio::EstSet& ests,
                              const std::vector<gst::Tree>& forest,
                              std::uint32_t psi)
-    : ests_(ests), forest_(forest), psi_(psi) {
+    : forest_(forest), psi_(psi) {
   for (const auto& t : forest_) {
     ESTCLUST_CHECK_MSG(
         psi_ >= t.prefix_depth,
@@ -35,7 +36,7 @@ PairGenerator::PairGenerator(const bio::EstSet& ests,
     node_base_.push_back(static_cast<std::uint32_t>(total));
     total += t.size();
   }
-  ESTCLUST_CHECK_MSG(total < kLoneLeaf, "forest too large for 32-bit slots");
+  ESTCLUST_CHECK_MSG(total < kLeafRun, "forest too large for 32-bit slots");
   slot_of_.assign(total, kNoSlot);
   std::vector<std::uint32_t> at_depth;  // at_depth[d - psi]: nodes of depth d
   for (std::uint32_t t = 0; t < forest_.size(); ++t) {
@@ -70,13 +71,13 @@ PairGenerator::PairGenerator(const bio::EstSet& ests,
       if (d >= psi_) order_[at_depth[d - psi_]++] = {t, v};
     }
   }
-  mark_.assign(ests_.num_strings(), 0);
+  mark_.assign(ests.num_strings(), 0);
 }
 
 std::uint32_t PairGenerator::take_slot() {
   if (free_slots_.empty()) {
-    slots_.emplace_back();
-    return static_cast<std::uint32_t>(slots_.size() - 1);
+    runs_.emplace_back();
+    return static_cast<std::uint32_t>(runs_.size() - 1);
   }
   const std::uint32_t slot = free_slots_.back();
   free_slots_.pop_back();
@@ -84,8 +85,31 @@ std::uint32_t PairGenerator::take_slot() {
 }
 
 void PairGenerator::return_slot(std::uint32_t slot) {
-  for (auto& set : slots_[slot]) pool_.release(set);
+  std::vector<std::uint32_t>& run = runs_[slot];
+  run.clear();
+  if (run.capacity() > kMaxRetainedCells) {
+    held_cells_ -= static_cast<std::uint32_t>(run.capacity());
+    std::vector<std::uint32_t>().swap(run);
+  }
   free_slots_.push_back(slot);
+}
+
+void PairGenerator::note_lset_bytes() {
+  const std::uint64_t bytes =
+      std::uint64_t{held_cells_} * sizeof(std::uint32_t) +
+      runs_.size() * sizeof(runs_[0]) +
+      sorted_.capacity() * sizeof(gst::SuffixOcc) +
+      seg_.capacity() * sizeof(std::uint32_t) +
+      children_.capacity() * sizeof(ChildRun);
+  peak_bytes_ = std::max(peak_bytes_, bytes);
+}
+
+void PairGenerator::release_lsets() {
+  for (auto& run : runs_) std::vector<std::uint32_t>().swap(run);
+  held_cells_ = 0;
+  std::vector<gst::SuffixOcc>().swap(sorted_);
+  std::vector<std::uint32_t>().swap(seg_);
+  std::vector<ChildRun>().swap(children_);
 }
 
 bool PairGenerator::exhausted() const {
@@ -116,9 +140,9 @@ void PairGenerator::process_next_node() {
   // records are cold. order_ is known in advance: prefetch in stages, each
   // reading only addresses an earlier stage brought in — the tree header,
   // then the node record and its slot entry, then the occurrence of the
-  // node's last leaf (a leaf's own; an internal node's lone-leaf children
-  // sit just before it). Kept in this body: GCC drops calls to a helper
-  // or lambda that only prefetches.
+  // node's last leaf (a leaf's own; an internal node's leaf children sit
+  // just before it). Kept in this body: GCC drops calls to a helper or
+  // lambda that only prefetches.
   const std::size_t i = next_node_;
   const std::size_t n = order_.size();
   if (i + 16 < n) __builtin_prefetch(&forest_[order_[i + 16].tree]);
@@ -137,142 +161,178 @@ void PairGenerator::process_next_node() {
   const NodeRef ref = order_[next_node_++];
   const gst::Tree& t = forest_[ref.tree];
   std::uint32_t& mapped = slot_of_[node_base_[ref.tree] + ref.node];
-  const gst::Node& node = t.nodes[ref.node];
-  if (t.is_leaf(ref.node) && node.occ_end - node.occ_begin == 1) {
-    // A one-occurrence leaf emits nothing. Its single lset entry is built
-    // only when the parent splices it (process_internal), so it holds no
-    // slot meanwhile; the work is counted now, as process_leaf would.
-    ++work_since_take_;
-    ++stats_.lset_work;
-    ++stats_.nodes_processed;
-    if (mapped != kOrphan) mapped = kLoneLeaf;
-    return;
-  }
-  const std::uint32_t slot = take_slot();
-  NodeLsets& lsets = slots_[slot];
-  if (t.is_leaf(ref.node)) {
-    process_leaf(t, ref.node, lsets);
-  } else {
-    process_internal(t, ref.tree, ref.node, lsets);
-  }
   ++stats_.nodes_processed;
-  // Surviving lsets are only needed by the parent, which splices them away
-  // and returns the slot. An orphan's parent is never processed, so its
-  // lsets retire now. Live cells are therefore bounded by the occurrences
-  // below the frontier — linear in input size.
-  if (mapped == kOrphan) {
-    return_slot(slot);
+  if (t.is_leaf(ref.node)) {
+    // A leaf's strings are distinct (two suffixes of one string are never
+    // equal), so its run is its occurrence range as stored: the parent
+    // reads it from the tree, and the leaf holds no slot.
+    const gst::Node& node = t.nodes[ref.node];
+    if (node.occ_end - node.occ_begin == 1) {
+      // One occurrence emits nothing; its work is counted now.
+      ++work_since_take_;
+      ++stats_.lset_work;
+    } else {
+      process_leaf(t, ref.node);
+      note_lset_bytes();
+    }
+    if (mapped != kOrphan) mapped = kLeafRun;
   } else {
-    mapped = slot;
+    const std::uint32_t slot = take_slot();
+    process_internal(t, ref.tree, ref.node, runs_[slot]);
+    note_lset_bytes();
+    // The run is only needed by the parent, which concatenates it away and
+    // returns the slot. An orphan's parent is never processed, so its run
+    // retires now. Live entries are therefore bounded by the occurrences
+    // below the frontier — linear in input size.
+    if (mapped == kOrphan) {
+      return_slot(slot);
+    } else {
+      mapped = slot;
+    }
+  }
+  if (next_node_ == order_.size()) release_lsets();
+}
+
+void PairGenerator::scatter(const gst::Tree& t, const std::uint32_t* run,
+                            std::uint32_t from, std::uint32_t to,
+                            std::uint32_t* seg) {
+  for (std::uint32_t i = from; i < to; ++i) {
+    const std::uint32_t k = run ? run[i] : i;
+    sorted_[seg[t.occs[k].lext]++] = t.occs[k];
   }
 }
 
-void PairGenerator::process_leaf(const gst::Tree& t, std::uint32_t v,
-                                 NodeLsets& lsets) {
-  // lsets come straight from the leaf's occurrence labels. A string appears
-  // at most once per leaf (two suffixes of one string are never equal), so
-  // no duplicate elimination is needed here.
-  for (const auto& occ : t.occurrences(v)) {
-    int c = gst::left_extension_code(ests_, occ);
-    pool_.push(lsets[static_cast<std::size_t>(c)], {occ.sid, occ.pos});
-    ++work_since_take_;
-    ++stats_.lset_work;
+void PairGenerator::process_leaf(const gst::Tree& t, std::uint32_t v) {
+  // The leaf's lsets are its occurrences split by class: segment c of
+  // sorted_ is [seg_[c], seg_[c + 1]).
+  const gst::Node& node = t.nodes[v];
+  const std::uint32_t n = node.occ_end - node.occ_begin;
+  work_since_take_ += n;
+  stats_.lset_work += n;
+  seg_.assign(bio::kNumLsetCodes + 2, 0);
+  for (std::uint32_t k = node.occ_begin; k < node.occ_end; ++k) {
+    ++seg_[t.occs[k].lext + 2u];
   }
+  for (std::size_t c = 2; c < seg_.size(); ++c) seg_[c] += seg_[c - 1];
+  sorted_.resize(n);
+  scatter(t, nullptr, node.occ_begin, node.occ_end, seg_.data() + 1);
+
   const std::uint32_t len = t.depth(v);
   // Pairs across classes (c1 < c2) and within λ.
   for (int c1 = 0; c1 < bio::kNumLsetCodes; ++c1) {
     for (int c2 = c1 + 1; c2 < bio::kNumLsetCodes; ++c2) {
+      const auto a = static_cast<std::size_t>(c1);
+      const auto b = static_cast<std::size_t>(c2);
       if (kClassOrder[c1] < kClassOrder[c2]) {
-        cross_product(lsets[static_cast<std::size_t>(c1)],
-                      lsets[static_cast<std::size_t>(c2)], len);
+        cross_product(seg_[a], seg_[a + 1], seg_[b], seg_[b + 1], len);
       } else {
-        cross_product(lsets[static_cast<std::size_t>(c2)],
-                      lsets[static_cast<std::size_t>(c1)], len);
+        cross_product(seg_[b], seg_[b + 1], seg_[a], seg_[a + 1], len);
       }
     }
   }
-  self_product(lsets[bio::kLambdaCode], len);
+  self_product(seg_[bio::kLambdaCode], seg_[bio::kLambdaCode + 1], len);
 }
 
 void PairGenerator::process_internal(const gst::Tree& t,
                                      std::uint32_t tree_idx, std::uint32_t v,
-                                     NodeLsets& lsets) {
-  // Step 1: eliminate duplicate strings across the children's lsets. Each
-  // string keeps exactly one (child, class) occurrence — the first in
-  // child-then-class order.
-  const std::uint64_t token = ++token_;
-  std::uint32_t* slot_of = slot_of_.data() + node_base_[tree_idx];
+                                     std::vector<std::uint32_t>& run) {
+  // The children's runs, in child order.
+  const std::uint32_t* slot_of = slot_of_.data() + node_base_[tree_idx];
   children_.clear();
+  std::uint32_t total = 0;
   t.for_each_child(v, [&](std::uint32_t u) {
-    children_.push_back(u);
-    if (slot_of[u] == kLoneLeaf) {  // build its deferred lset entry
-      const gst::SuffixOcc& occ = t.occs[t.nodes[u].occ_begin];
-      slot_of[u] = take_slot();
-      pool_.push(slots_[slot_of[u]][static_cast<std::size_t>(
-                     gst::left_extension_code(ests_, occ))],
-                 {occ.sid, occ.pos});
+    const gst::Node& c = t.nodes[u];
+    if (slot_of[u] == kLeafRun) {
+      children_.push_back({nullptr, c.occ_begin, c.occ_end - c.occ_begin});
+    } else {
+      ESTCLUST_DCHECK(slot_of[u] < runs_.size());
+      const auto& r = runs_[slot_of[u]];
+      children_.push_back(
+          {r.data(), 0, static_cast<std::uint32_t>(r.size())});
     }
+    total += children_.back().size;
   });
+  stats_.lset_work += total;
+  work_since_take_ += total;
 
-  for (std::uint32_t u : children_) {
-    ESTCLUST_DCHECK(slot_of[u] < slots_.size());
-    for (auto& set : slots_[slot_of[u]]) {
-      stats_.lset_work += set.size;
-      work_since_take_ += set.size;
-      pool_.remove_if(set, [&](const LsetEntry& e) {
-        if (mark_[e.sid] == token) return true;
-        mark_[e.sid] = token;
-        return false;
-      });
+  // Step 1: eliminate duplicate strings across the children's runs. A
+  // child holds each string once, so each string keeps exactly one entry —
+  // its first in child order, i.e. its leftmost occurrence below v. The
+  // survivors, in scan order, are v's run; their (child, class) counts go
+  // to seg_[g * kNumLsetCodes + c + 2].
+  const std::uint64_t token = ++token_;
+  const std::size_t groups = children_.size();
+  seg_.assign(groups * bio::kNumLsetCodes + 2, 0);
+  const std::size_t cap = run.capacity();
+  run.reserve(total);
+  held_cells_ += static_cast<std::uint32_t>(run.capacity() - cap);
+  for (std::size_t g = 0; g < groups; ++g) {
+    ChildRun& c = children_[g];
+    std::uint32_t* count = seg_.data() + g * bio::kNumLsetCodes + 2;
+    for (std::uint32_t i = 0; i < c.size; ++i) {
+      const std::uint32_t k = c.idx ? c.idx[i] : c.begin + i;
+      const bio::StringId sid = t.occs[k].sid;
+      if (mark_[sid] == token) continue;
+      mark_[sid] = token;
+      run.push_back(k);
+      ++count[t.occs[k].lext];
     }
+    c.kept_end = static_cast<std::uint32_t>(run.size());
   }
 
-  // Step 2: cross-child cartesian products with c1 != c2 or c1 = c2 = λ.
+  // Step 2: counting-sort the survivors into (child, class) segments:
+  // segment (g, c) of sorted_ is [seg_[j], seg_[j + 1]) for j = g·5 + c.
+  for (std::size_t j = 2; j < seg_.size(); ++j) seg_[j] += seg_[j - 1];
+  sorted_.resize(run.size());
+  std::uint32_t from = 0;
+  for (std::size_t g = 0; g < groups; ++g) {
+    scatter(t, run.data(), from, children_[g].kept_end,
+            seg_.data() + g * bio::kNumLsetCodes + 1);
+    from = children_[g].kept_end;
+  }
+
+  // Step 3: cross-child cartesian products with c1 != c2 or c1 = c2 = λ.
   const std::uint32_t len = t.depth(v);
-  for (std::size_t k = 0; k < children_.size(); ++k) {
-    const NodeLsets& lk = slots_[slot_of[children_[k]]];
-    for (std::size_t l = k + 1; l < children_.size(); ++l) {
-      const NodeLsets& ll = slots_[slot_of[children_[l]]];
+  for (std::size_t k = 0; k < groups; ++k) {
+    const std::uint32_t* sk = seg_.data() + k * bio::kNumLsetCodes;
+    for (std::size_t l = k + 1; l < groups; ++l) {
+      const std::uint32_t* sl = seg_.data() + l * bio::kNumLsetCodes;
       for (int c1 = 0; c1 < bio::kNumLsetCodes; ++c1) {
         for (int c2 = 0; c2 < bio::kNumLsetCodes; ++c2) {
           if (c1 == c2 && c1 != bio::kLambdaCode) continue;
-          cross_product(lk[static_cast<std::size_t>(c1)],
-                        ll[static_cast<std::size_t>(c2)], len);
+          cross_product(sk[c1], sk[c1 + 1], sl[c2], sl[c2 + 1], len);
         }
       }
     }
   }
 
-  // Step 3: union the children's lsets class-wise onto v (O(|Σ|²) splices)
-  // and return each child's slot.
-  for (std::uint32_t u : children_) {
-    NodeLsets& child = slots_[slot_of[u]];
-    for (int c = 0; c < bio::kNumLsetCodes; ++c) {
-      pool_.concat(lsets[static_cast<std::size_t>(c)],
-                   child[static_cast<std::size_t>(c)]);
-    }
-    return_slot(slot_of[u]);
-  }
-}
-
-void PairGenerator::cross_product(const Lset& s1, const Lset& s2,
-                                  std::uint32_t len) {
-  if (s1.empty() || s2.empty()) return;
-  pool_.for_each(s1, [&](const LsetEntry& e1) {
-    pool_.for_each(s2, [&](const LsetEntry& e2) { emit(e1, e2, len); });
+  // Step 4: v's run is the union; the children's slots retire.
+  t.for_each_child(v, [&](std::uint32_t u) {
+    if (slot_of[u] != kLeafRun) return_slot(slot_of[u]);
   });
 }
 
-void PairGenerator::self_product(const Lset& s, std::uint32_t len) {
-  if (s.size < 2) return;
-  pool_.for_each_pair(
-      s, [&](const LsetEntry& e1, const LsetEntry& e2) { emit(e1, e2, len); });
+void PairGenerator::cross_product(std::uint32_t b1, std::uint32_t e1,
+                                  std::uint32_t b2, std::uint32_t e2,
+                                  std::uint32_t len) {
+  for (std::uint32_t i = b1; i < e1; ++i) {
+    for (std::uint32_t j = b2; j < e2; ++j) emit(sorted_[i], sorted_[j], len);
+  }
 }
 
-void PairGenerator::emit(const LsetEntry& e1, const LsetEntry& e2,
+void PairGenerator::self_product(std::uint32_t b, std::uint32_t e,
+                                 std::uint32_t len) {
+  for (std::uint32_t i = b; i < e; ++i) {
+    for (std::uint32_t j = i + 1; j < e; ++j) {
+      emit(sorted_[i], sorted_[j], len);
+    }
+  }
+}
+
+void PairGenerator::emit(const gst::SuffixOcc& e1, const gst::SuffixOcc& e2,
                          std::uint32_t len) {
   ++work_since_take_;
-  LsetEntry lo = e1, hi = e2;
+  gst::SuffixOcc lo = e1, hi = e2;
   if (bio::EstSet::est_of(lo.sid) > bio::EstSet::est_of(hi.sid)) {
     std::swap(lo, hi);
   }

@@ -10,6 +10,13 @@
 //     children's lsets, cross-child products over (c1 != c2 or both λ),
 //     then lset union onto the node.
 //
+// A node's five lsets l_A, l_C, l_G, l_T, l_λ are held as one run of
+// indices into its tree's occurrence array: one entry per string below
+// the node, its leftmost occurrence there, in occurrence order. The class
+// of an entry is the occurrence's left-extension code (TreeOcc::lext), so
+// l_c is the run filtered to class c, and the union onto a node is the
+// concatenation of the children's deduplicated runs.
+//
 // Pairs therefore stream out in decreasing order of maximal common
 // substring length with respect to this forest (the paper accepts per-rank
 // rather than global order). The generator remembers its position between
@@ -18,11 +25,11 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "bio/dataset.hpp"
 #include "gst/tree.hpp"
-#include "pairgen/lset.hpp"
 #include "pairgen/source.hpp"
 
 namespace estclust::pairgen {
@@ -57,13 +64,18 @@ class PairGenerator final : public PairSource {
   /// The candidate index here is the borrowed forest itself.
   std::uint64_t index_bytes() const override;
 
-  /// Live lset cells right now (space-linearity tests).
-  std::uint32_t live_lset_cells() const { return pool_.live_cells(); }
+  /// Lset entries held right now, retained capacity of recycled runs
+  /// included (space-linearity tests). 0 once the stream is exhausted.
+  std::uint32_t live_lset_cells() const { return held_cells_; }
 
   /// Most lset slots ever live at once: the high-water mark of the
-  /// frontier of processed nodes whose parents are still pending (leaves
-  /// with one occurrence excepted: they take a slot only at the parent).
-  std::size_t peak_lset_slots() const { return slots_.size(); }
+  /// frontier of processed internal nodes whose parents are still pending
+  /// (a leaf's run is its own occurrence range and takes no slot).
+  std::uint64_t peak_lset_slots() const override { return runs_.size(); }
+
+  /// High-water mark of the walk's lset memory: held entries, slot
+  /// headers and the per-node class-sort scratch.
+  std::uint64_t peak_lset_bytes() const override { return peak_bytes_; }
 
  private:
   struct NodeRef {
@@ -71,23 +83,45 @@ class PairGenerator final : public PairSource {
     std::uint32_t node = 0;
   };
 
+  /// A child's run during process_internal: `idx[0, size)` for an internal
+  /// child, the occurrence range [begin, begin + size) for a leaf.
+  /// `kept_end` is where the child's survivors end in the node's run.
+  struct ChildRun {
+    const std::uint32_t* idx = nullptr;
+    std::uint32_t begin = 0;
+    std::uint32_t size = 0;
+    std::uint32_t kept_end = 0;
+  };
+
   /// slot_of_ values that are not slot indices (all above any index).
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;  ///< not processed
   static constexpr std::uint32_t kOrphan = 0xFFFFFFFEu;  ///< parent never is
-  static constexpr std::uint32_t kLoneLeaf = 0xFFFFFFFDu;  ///< entry deferred
+  static constexpr std::uint32_t kLeafRun = 0xFFFFFFFDu;  ///< run = occ range
+
+  /// A recycled run keeps at most this many entries of capacity.
+  static constexpr std::size_t kMaxRetainedCells = 256;
 
   void process_next_node();
-  void process_leaf(const gst::Tree& t, std::uint32_t v, NodeLsets& lsets);
+  void process_leaf(const gst::Tree& t, std::uint32_t v);
   void process_internal(const gst::Tree& t, std::uint32_t tree_idx,
-                        std::uint32_t v, NodeLsets& lsets);
-  void emit(const LsetEntry& e1, const LsetEntry& e2, std::uint32_t len);
-  void cross_product(const Lset& s1, const Lset& s2, std::uint32_t len);
-  void self_product(const Lset& s, std::uint32_t len);
+                        std::uint32_t v, std::vector<std::uint32_t>& run);
+  /// Counting-sorts run entries into class segments of sorted_: entries
+  /// [from, to) of `run` (an index array, or the identity range when null)
+  /// go to classes seg[0..kNumLsetCodes) of this group, which must hold
+  /// their start offsets; each is advanced past its entries.
+  void scatter(const gst::Tree& t, const std::uint32_t* run,
+               std::uint32_t from, std::uint32_t to, std::uint32_t* seg);
+  void emit(const gst::SuffixOcc& e1, const gst::SuffixOcc& e2,
+            std::uint32_t len);
+  void cross_product(std::uint32_t b1, std::uint32_t e1, std::uint32_t b2,
+                     std::uint32_t e2, std::uint32_t len);
+  void self_product(std::uint32_t b, std::uint32_t e, std::uint32_t len);
 
   std::uint32_t take_slot();
   void return_slot(std::uint32_t slot);
+  void note_lset_bytes();
+  void release_lsets();
 
-  const bio::EstSet& ests_;
   const std::vector<gst::Tree>& forest_;
   std::uint32_t psi_;
 
@@ -98,21 +132,27 @@ class PairGenerator final : public PairSource {
   std::vector<NodeRef> order_;
   std::size_t next_node_ = 0;    ///< cursor into order_
 
-  // Lsets live only on the frontier. A processed node holds one slot of
-  // slots_ until its parent splices its lsets away (or, for an orphan —
-  // a bucket root or a child of an internal node shallower than psi — right
-  // after its own processing). A leaf with one occurrence, most leaves,
-  // takes no slot: its parent builds the single entry when it splices.
-  // slot_of_ maps a global node index (node_base_[tree] + node) to its
-  // slot or to a k* marker. slots_ is a deque so growth never copies live
-  // lsets; its size is the peak.
+  // Lsets live only on the frontier. A processed internal node holds one
+  // run of runs_ until its parent concatenates it away (or, for an orphan
+  // — a bucket root or a child of an internal node shallower than psi —
+  // right after its own processing). A leaf's run is its occurrence range
+  // (its strings are distinct), so leaves take no slot. slot_of_ maps a
+  // global node index (node_base_[tree] + node) to its slot or to a k*
+  // marker. runs_.size() is the peak slot count; a returned run keeps up
+  // to kMaxRetainedCells of capacity for reuse.
   std::vector<std::uint32_t> node_base_;
   std::vector<std::uint32_t> slot_of_;
-  std::deque<NodeLsets> slots_;
+  std::vector<std::vector<std::uint32_t>> runs_;
   std::vector<std::uint32_t> free_slots_;
-  std::vector<std::uint32_t> children_;  ///< process_internal scratch
+  std::uint32_t held_cells_ = 0;  ///< Σ capacity over runs_
+  std::uint64_t peak_bytes_ = 0;
 
-  LsetPool pool_;
+  // process_leaf / process_internal scratch: the children's runs, and the
+  // node's entries counting-sorted into (child, class) segments, with
+  // seg_[g * kNumLsetCodes + c] the start of segment (g, c).
+  std::vector<ChildRun> children_;
+  std::vector<gst::SuffixOcc> sorted_;
+  std::vector<std::uint32_t> seg_;
 
   // Duplicate-elimination mark array: mark_[sid] == token when sid was
   // already seen at the internal node currently being processed.

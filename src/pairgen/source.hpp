@@ -98,6 +98,11 @@ class PairSource {
   /// Bytes held by the backend's candidate index (Table-1-style space
   /// comparison; excludes the EST text itself).
   virtual std::uint64_t index_bytes() const = 0;
+
+  /// The stream's own working memory: most lset slots, and most lset
+  /// bytes, held at once so far. 0 for backends without lsets.
+  virtual std::uint64_t peak_lset_slots() const { return 0; }
+  virtual std::uint64_t peak_lset_bytes() const { return 0; }
 };
 
 /// Builds a pair source over the share of the workload `forest` holds.

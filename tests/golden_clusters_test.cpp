@@ -33,11 +33,13 @@
 #include "bio/dataset.hpp"
 #include "bio/fasta.hpp"
 #include "cluster/partition.hpp"
+#include "gst/builder.hpp"
 #include "mpr/fault.hpp"
 #include "mpr/runtime.hpp"
 #include "pace/parallel.hpp"
 #include "pairgen/source.hpp"
 #include "sim/workload.hpp"
+#include "util/prng.hpp"
 
 #ifndef ESTCLUST_TEST_DATA_DIR
 #error "ESTCLUST_TEST_DATA_DIR must be defined by the build"
@@ -256,6 +258,53 @@ void check_faulted_fixture(const Fixture& fix) {
     EXPECT_EQ(run.clusters, golden)
         << "fault plan '" << plan.label << "' (" << plan.spec
         << ") perturbed the partition of " << fix.name;
+  }
+}
+
+TEST(MixedCase, SameRecordsAndPartitionAsUpperCase) {
+  // Case is not data: a library with about a third of its bases
+  // lower-cased must stream the same records and cluster the same way as
+  // its upper-case copy, on every backend.
+  const bio::EstSet upper(
+      bio::read_fasta_file(data_path("golden_small.fasta")));
+  Prng rng(91);
+  std::vector<bio::Sequence> lowered;
+  for (std::size_t i = 0; i < upper.num_ests(); ++i) {
+    bio::Sequence seq = upper.est(static_cast<bio::EstId>(i));
+    for (char& c : seq.bases) {
+      if (rng.bernoulli(0.3)) c = static_cast<char>(c - 'A' + 'a');
+    }
+    lowered.push_back(std::move(seq));
+  }
+  const bio::EstSet mixed(std::move(lowered));
+
+  const pace::PaceConfig cfg = golden_config();
+  auto records = [&](const bio::EstSet& ests) {
+    const auto forest = gst::build_forest_sequential(ests, cfg.gst.window);
+    auto source = pairgen::make_pair_source(test_backend(), ests, forest,
+                                            cfg.gst.window, cfg.psi);
+    std::vector<pairgen::PromisingPair> out;
+    while (source->next_batch(1000, out) > 0) {
+    }
+    return out;
+  };
+  const auto want = records(upper);
+  const auto got = records(mixed);
+  ASSERT_FALSE(want.empty());
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "record " << i);
+    EXPECT_EQ(got[i].a, want[i].a);
+    EXPECT_EQ(got[i].b, want[i].b);
+    EXPECT_EQ(got[i].b_rc, want[i].b_rc);
+    EXPECT_EQ(got[i].match_len, want[i].match_len);
+    EXPECT_EQ(got[i].a_pos, want[i].a_pos);
+    EXPECT_EQ(got[i].b_pos, want[i].b_pos);
+  }
+  for (int ranks : {1, 4}) {
+    EXPECT_EQ(run_fixture(mixed, ranks, true).clusters,
+              run_fixture(upper, ranks, true).clusters)
+        << "ranks=" << ranks;
   }
 }
 

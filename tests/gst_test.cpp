@@ -312,6 +312,48 @@ TEST(LeftExtension, LambdaAtStringStart) {
   EXPECT_EQ(left_extension_code(ests, {0, 3}), bio::encode_base('G'));
 }
 
+TEST(CodeText, SentinelsAroundEveryStringThenPad) {
+  EstSet ests(std::vector<Sequence>{{"a", "ACGT"}, {"b", "GGA"}});
+  const CodeText text(ests);
+  const std::uint8_t s = CodeText::kSentinel;
+  // $ ACGT $ ACGT(rc) $ GGA $ TCC(rc) $, then the zero pad.
+  const std::vector<std::uint8_t> want = {s, 0, 1, 2, 3, s, 0, 1, 2, 3, s,
+                                          2, 2, 0, s, 3, 1, 1, s};
+  ASSERT_EQ(std::vector<std::uint8_t>(text.data(), text.data() + want.size()),
+            want);
+  for (std::size_t i = 0; i < CodeText::kTailPad; ++i) {
+    EXPECT_EQ(text.data()[want.size() + i], 0u);
+  }
+  EXPECT_EQ(text.start(0), 1u);
+  EXPECT_EQ(text.end(0), 5u);
+  EXPECT_EQ(text.start(3), 15u);
+  EXPECT_EQ(text.end(3), 18u);
+  // The byte before a suffix is its left-extension code, λ at pos 0.
+  for (bio::StringId sid = 0; sid < 4; ++sid) {
+    for (std::uint32_t pos = 0; pos < ests.str(sid).size(); ++pos) {
+      EXPECT_EQ(text.data()[text.start(sid) + pos - 1],
+                left_extension_code(ests, {sid, pos}));
+    }
+  }
+}
+
+TEST(BuildBucketTree, LeafOccurrencesCarryLeftExtensionCodes) {
+  // Suffixes sharing a prefix longer than a word, so the refiner's
+  // eight-codes-per-compare scan runs into string ends and the tail pad.
+  Prng rng(12);
+  const std::string core = random_dna(rng, 40);
+  EstSet ests({{"a", core},
+               {"b", "C" + core},
+               {"c", "GT" + core + "A"},
+               {"d", core.substr(0, 21)}});
+  for (const Tree& t : build_forest_sequential(ests, 2)) {
+    t.validate(ests);  // checks every occurrence's lext
+    for (const TreeOcc& occ : t.occs) {
+      EXPECT_EQ(static_cast<int>(occ.lext), left_extension_code(ests, occ));
+    }
+  }
+}
+
 TEST(PartitionEsts, CoversAllWithoutOverlap) {
   Prng rng(9);
   EstSet ests = random_ests(rng, 23, 10, 100);

@@ -640,6 +640,39 @@ TEST(Parallel, PairSourceIndexIsPartitionedAcrossRanks) {
   }
 }
 
+/// The drained stream publishes its lset working memory: positive for
+/// the GST walk at every rank count, 0 for the seed backends, which hold
+/// no lsets.
+TEST(Parallel, WalkMemoryGaugesPublished) {
+  auto wl = test_workload();
+  for (pairgen::Backend backend : pairgen::kAllBackends) {
+    auto cfg = test_config();
+    cfg.pair_source = backend;
+    for (int p : {1, 4}) {
+      mpr::Runtime rt(p, mpr::CostModel{});
+      rt.run([&](mpr::Communicator& comm) {
+        cluster_parallel(comm, wl.ests, cfg);
+      });
+      const auto m = rt.merged_metrics();
+      const std::string what = std::string(pairgen::backend_name(backend)) +
+                               " p=" + std::to_string(p);
+      for (const char* name :
+           {"pairgen.lset_peak_slots", "pairgen.lset_peak_bytes"}) {
+        if (backend == pairgen::Backend::kGst) {
+          EXPECT_GT(m.gauge_value(name), 0.0) << what << " " << name;
+        } else {
+          EXPECT_EQ(m.gauge_value(name), 0.0) << what << " " << name;
+        }
+      }
+      if (backend == pairgen::Backend::kGst) {
+        EXPECT_GE(m.gauge_value("pairgen.lset_peak_bytes"),
+                  m.gauge_value("pairgen.lset_peak_slots"))
+            << what;
+      }
+    }
+  }
+}
+
 TEST(Parallel, VirtualTimeDecreasesWithMoreRanks) {
   // The headline claim: run-times scale with the number of processors.
   auto wl = test_workload(200, 31);

@@ -109,12 +109,54 @@ EstSet overlap_ests(Prng& rng, std::size_t n_related, std::size_t n_noise,
   return EstSet(std::move(seqs));
 }
 
+/// Reads that make duplicate elimination drop same-string entries:
+/// windows of one gene, every third with a 30-80-base poly-A tail, every
+/// fourth carrying a (ACGTTG)x10 tandem repeat, and one read that
+/// contains its own reverse complement.
+EstSet repeat_rich_ests(Prng& rng) {
+  const std::string gene = random_dna(rng, 400);
+  std::string tandem;
+  for (int i = 0; i < 10; ++i) tandem += "ACGTTG";
+  std::vector<Sequence> seqs;
+  for (int i = 0; i < 24; ++i) {
+    std::string est = gene.substr(rng.uniform(300), 100);
+    if (i % 3 == 0) est += std::string(30 + rng.uniform(51), 'A');
+    if (i % 4 == 1) est.insert(rng.uniform(est.size()), tandem);
+    if (rng.bernoulli(0.3)) est = bio::reverse_complement(est);
+    seqs.push_back({"r" + std::to_string(i), est});
+  }
+  const std::string arm = random_dna(rng, 60);
+  seqs.push_back({"pal", arm + random_dna(rng, 10) +
+                             bio::reverse_complement(arm)});
+  return EstSet(std::move(seqs));
+}
+
 std::vector<PromisingPair> drain(PairSource& gen,
                                  std::size_t batch = 1000000) {
   std::vector<PromisingPair> out;
   while (gen.next_batch(batch, out) > 0) {
   }
   return out;
+}
+
+/// FNV-1a digest of a record stream, in stream order.
+std::uint64_t stream_digest(const std::vector<PromisingPair>& pairs) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&](std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& p : pairs) {
+    mix(p.a);
+    mix(p.b);
+    mix(p.b_rc ? 1 : 0);
+    mix(p.match_len);
+    mix(p.a_pos);
+    mix(p.b_pos);
+  }
+  return h;
 }
 
 TEST(PairSource, RequiresPsiAtLeastWindow) {
@@ -521,22 +563,29 @@ TEST(PairSource, ConstructionUnitsAndIndexBytesAreStable) {
 }
 
 TEST(PairGenerator, LiveLsetCellsBoundedByOccurrences) {
+  // live_lset_cells counts held capacity, recycled runs' included, so the
+  // bound also catches runs that keep growing capacity on repeats.
   if (!gst_backend()) GTEST_SKIP() << "lset pool is GST-internal";
   Prng rng(30);
-  EstSet ests = overlap_ests(rng, 12, 3);
-  auto forest = gst::build_forest_sequential(ests, 3);
-  std::size_t total_occs = 0;
-  for (const auto& t : forest) total_occs += t.occs.size();
+  const EstSet overlap = overlap_ests(rng, 12, 3);
+  const EstSet repeats = repeat_rich_ests(rng);
+  for (const EstSet* ests : {&overlap, &repeats}) {
+    SCOPED_TRACE(ests == &overlap ? "overlap" : "repeats");
+    auto forest = gst::build_forest_sequential(*ests, 3);
+    std::size_t total_occs = 0;
+    for (const auto& t : forest) total_occs += t.occs.size();
 
-  PairGenerator gen(ests, forest, 10);
-  std::vector<PromisingPair> out;
-  std::uint32_t peak = 0;
-  while (gen.next_batch(50, out) > 0) {
-    peak = std::max(peak, gen.live_lset_cells());
-    out.clear();
+    PairGenerator gen(*ests, forest, 10);
+    std::vector<PromisingPair> out;
+    std::uint32_t peak = 0;
+    while (gen.next_batch(50, out) > 0) {
+      peak = std::max(peak, gen.live_lset_cells());
+      out.clear();
+    }
+    EXPECT_GT(peak, 0u);
+    EXPECT_LE(peak, total_occs);
+    EXPECT_EQ(gen.live_lset_cells(), 0u);  // everything retired at the end
   }
-  EXPECT_LE(peak, total_occs);
-  EXPECT_EQ(gen.live_lset_cells(), 0u);  // everything retired at the end
 }
 
 TEST(PairGenerator, LsetSlotsTrackTheFrontier) {
@@ -595,23 +644,44 @@ TEST(PairGenerator, StreamDigestPinned) {
     auto forest = gst::build_forest_sequential(*c.ests, 4);
     PairGenerator gen(*c.ests, forest, c.psi);
     const auto pairs = drain(gen, 7);
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    auto mix = [&](std::uint64_t x) {
-      for (int i = 0; i < 8; ++i) {
-        h ^= (x >> (8 * i)) & 0xFF;
-        h *= 0x100000001b3ULL;
-      }
-    };
-    for (const auto& p : pairs) {
-      mix(p.a);
-      mix(p.b);
-      mix(p.b_rc ? 1 : 0);
-      mix(p.match_len);
-      mix(p.a_pos);
-      mix(p.b_pos);
-    }
     EXPECT_EQ(pairs.size(), c.pairs);
-    EXPECT_EQ(h, c.digest);
+    EXPECT_EQ(stream_digest(pairs), c.digest);
+  }
+}
+
+TEST(PairGenerator, RepeatStreamDigestPinned) {
+  // Poly-A tails, tandem repeats and a read holding its own reverse
+  // complement put one string at several occurrences below a node, so
+  // duplicate elimination drops same-string entries at almost every
+  // internal node. Digest and counters were computed with the linked-list
+  // lsets (splice, then remove_if) that preceded the occurrence-index
+  // runs; any change to which occurrence survives, to the union order or
+  // to the work charge moves them.
+  if (!gst_backend()) GTEST_SKIP() << "pins the GST walk's own order";
+  Prng rng(57);
+  const EstSet ests = repeat_rich_ests(rng);
+  auto forest = gst::build_forest_sequential(ests, 4);
+  struct Case {
+    std::uint32_t psi;
+    GenStats want;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {10, {293, 272, 2, 9774, 25926}, 7957378598446085602ULL},
+      {20, {253, 233, 2, 8726, 20919}, 5236792603385342893ULL},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "psi=" << c.psi);
+    PairGenerator gen(ests, forest, c.psi);
+    const auto pairs = drain(gen, 5);
+    const GenStats& got = gen.stats();
+    EXPECT_EQ(got.pairs_emitted, c.want.pairs_emitted);
+    EXPECT_EQ(got.discarded_orientation, c.want.discarded_orientation);
+    EXPECT_EQ(got.discarded_self, c.want.discarded_self);
+    EXPECT_EQ(got.nodes_processed, c.want.nodes_processed);
+    EXPECT_EQ(got.lset_work, c.want.lset_work);
+    EXPECT_EQ(pairs.size(), got.pairs_emitted);
+    EXPECT_EQ(stream_digest(pairs), c.digest);
   }
 }
 

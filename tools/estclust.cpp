@@ -149,10 +149,24 @@ int cmd_cluster(const CliArgs& args) {
   std::vector<std::uint32_t> labels;
   // Observability, checking and fault injection ride on the virtual-time
   // runtime; a single-rank request for any of them still routes through
-  // it (with p = 2: one master, one slave).
-  if (ranks < 2 && (cfg.trace || want_metrics || faults.enabled ||
-                    check_mode != mpr::CheckMode::kOff)) {
-    ranks = 2;
+  // it (with p = 2: one master, one slave), and says so on stderr.
+  if (ranks < 2) {
+    std::string why;
+    const auto need = [&](bool on, const char* flag) {
+      if (on) why += (why.empty() ? "" : ", ") + std::string(flag);
+    };
+    need(trace_path.has_value(), "--trace");
+    need(want_metrics, "--metrics");
+    need(breakdown_path.has_value(), "--breakdown");
+    need(want_profile, "--profile");
+    need(check_mode != mpr::CheckMode::kOff, "--check");
+    need(faults.enabled, "--faults");
+    if (!why.empty()) {
+      ranks = 2;
+      std::cerr << "note: --ranks 1 runs on 2 ranks (one master, one slave)"
+                   " because of "
+                << why << "\n";
+    }
   }
   if (ranks > 1) {
     mpr::Runtime rt(ranks, mpr::CostModel{});
